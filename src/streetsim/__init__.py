@@ -23,21 +23,17 @@ from .engine import (
     compute_contact_interval,
     derived_connection_graph,
     initialize,
-    record_contact_history,
     run,
     try_establish,
 )
 from .mobility import (
     Device,
-    DeviceState,
     DiracVelocity,
     Path,
     PositiveNormalVelocity,
     TwoPointVelocity,
     coords,
-    device_snapshot,
     position_at,
-    reverse_path,
     sample_destination_kappa_doubleprime,
     sample_destination_kappa_prime,
     sample_devices,

@@ -13,13 +13,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from .config import build_seed_state
 from .engine import ConnectionGraph, derived_connection_graph, initialize, run
 from .mobility import coords
 from .streets import Street, StreetGraph, VoronoiCell
 from .torus import min_image_delta
 
 __all__ = [
-    "UnionFind",
     "largest_cluster_fraction",
     "cluster_size_histogram",
     "connection_graph_wraps",
@@ -35,66 +39,32 @@ __all__ = [
 ]
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary hashable ids with size tracking."""
+def _component_labels(vertices, pairs) -> np.ndarray:
+    """Connected-component label of each vertex, in ``vertices`` order.
 
-    def __init__(self, items=()):
-        self.parent: dict = {}
-        self.size: dict = {}
-        for x in items:
-            self.add(x)
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def component_sizes(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            r = self.find(x)
-            out[r] = out.get(r, 0) + 1
-        return out
+    ``pairs`` are undirected edges given by vertex id.
+    """
+    index = {v: k for k, v in enumerate(vertices)}
+    ij = np.array([(index[i], index[j]) for i, j in pairs], dtype=np.intp).reshape(-1, 2)
+    n = len(vertices)
+    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
 
 
 def largest_cluster_fraction(cg: ConnectionGraph) -> float:
     """Share of devices in the largest connected component."""
     if not cg.vertices:
         raise ValueError("connection graph has no vertices")
-    uf = UnionFind(cg.vertices)
-    for i, j in cg.edges:
-        uf.union(i, j)
-    return max(uf.component_sizes().values()) / len(cg.vertices)
+    return int(np.bincount(_component_labels(cg.vertices, cg.edges)).max()) / len(cg.vertices)
 
 
 def cluster_size_histogram(cg: ConnectionGraph) -> list[tuple[int, int]]:
     """Sorted (component size, count) pairs."""
     if not cg.vertices:
         return []
-    uf = UnionFind(cg.vertices)
-    for i, j in cg.edges:
-        uf.union(i, j)
-    counts: dict[int, int] = {}
-    for s in uf.component_sizes().values():
-        counts[s] = counts.get(s, 0) + 1
-    return sorted(counts.items())
+    sizes, counts = np.unique(np.bincount(_component_labels(cg.vertices, cg.edges)),
+                              return_counts=True)
+    return [(int(s), int(c)) for s, c in zip(sizes, counts)]
 
 
 def connection_graph_wraps(cg: ConnectionGraph, devices_by_id, g: StreetGraph) -> bool:
@@ -238,22 +208,20 @@ def aux_largest_component(aux: AuxGraph) -> tuple[float, bool]:
     """
     if not aux.vertices:
         return 0.0, False
-    uf = UnionFind(aux.vertices)
+    streets = list(aux.street_edges.values())
     adj: dict[int, list[tuple[int, float, float]]] = {v: [] for v in aux.vertices}
-    for e in aux.street_edges.values():
-        uf.union(e.u, e.v)
+    for e in streets:
         dx, dy = e.delta
         adj[e.u].append((e.v, dx, dy))
         adj[e.v].append((e.u, -dx, -dy))
     for (u, v), (dx, dy) in aux.aux_edges.items():
-        uf.union(u, v)
         adj[u].append((v, dx, dy))
         adj[v].append((u, -dx, -dy))
-    mass: dict = {}
-    for e in aux.street_edges.values():
-        r = uf.find(e.u)
-        mass[r] = mass.get(r, 0.0) + e.length
-    fraction = max(mass.values()) / aux.total_long_length if aux.total_long_length > 0 else 0.0
+    pairs = [(e.u, e.v) for e in streets] + list(aux.aux_edges)
+    label = dict(zip(aux.vertices, _component_labels(aux.vertices, pairs)))
+    # bincount adds the weights in street order, as a running sum per label
+    mass = np.bincount([label[e.u] for e in streets], weights=[e.length for e in streets])
+    fraction = float(mass.max()) / aux.total_long_length if aux.total_long_length > 0 else 0.0
     wraps = _has_winding_cycle(aux.vertices, adj, aux.L)
     return fraction, wraps
 
@@ -287,7 +255,6 @@ class SweepRow:
     n_devices: int
     largest_fraction: float | None
     wraps: bool
-    histogram: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -308,16 +275,14 @@ def velocity_sweep(config) -> SweepResult:
     horizon and connection time by a on the same movement.  Rows for scale a
     equal a direct simulation with velocities scaled by a.
     """
-    from .config import build_seed_state  # local import; config wires the pieces
-
     result = SweepResult()
     for seed in config.seeds:
-        result.rows.extend(_sweep_one_seed(config, seed, build_seed_state))
+        result.rows.extend(_sweep_one_seed(config, seed))
     result.sort()
     return result
 
 
-def _sweep_one_seed(config, seed: int, build_seed_state) -> list[SweepRow]:
+def _sweep_one_seed(config, seed: int) -> list[SweepRow]:
     g, devices, dist = build_seed_state(config, seed)
     lam_per_m = config.lambda_per_km / 1000.0
     scales = config.sweep.values if config.sweep is not None else [1.0]
@@ -347,7 +312,6 @@ def _sweep_one_seed(config, seed: int, build_seed_state) -> list[SweepRow]:
                 lambda_per_m=lam_per_m, n_devices=len(devices),
                 largest_fraction=largest_cluster_fraction(cg),
                 wraps=connection_graph_wraps(cg, by_id, g),
-                histogram=tuple(cluster_size_histogram(cg)),
             ))
     return rows
 

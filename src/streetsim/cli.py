@@ -17,16 +17,18 @@ Exit codes: 0 ok, 2 config error, 3 runtime invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path as FsPath
 
 from .analysis import (
     SweepResult,
-    SweepRow,
     aux_largest_component,
     long_edge_percolation_graph,
     velocity_sweep,
@@ -64,13 +66,6 @@ def _load_valid_config(path) -> ExperimentConfig:
     if violations:
         raise ConfigError("; ".join(violations))
     return cfg
-
-
-def _seed_worker(payload) -> list[SweepRow]:
-    # seeds arrive already offset-shifted; workers only need the config body
-    cfg_path, seed = payload
-    cfg = _load_valid_config(cfg_path)
-    return _sweep_one_seed(cfg, seed, build_seed_state)
 
 
 def _emit_side_outputs(cfg: ExperimentConfig, seed: int, out_dir: FsPath) -> None:
@@ -114,11 +109,12 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = FsPath(args.out) if args.out else FsPath(".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    workers = min(args.jobs, len(cfg.seeds), os.cpu_count() or 1)
     try:
-        if args.jobs > 1:
+        if workers > 1:
             result = SweepResult()
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for rows in pool.map(_seed_worker, [(args.config, s) for s in cfg.seeds]):
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for rows in pool.map(partial(_sweep_one_seed, cfg), cfg.seeds):
                     result.rows.extend(rows)
             result.sort()
         else:
@@ -159,23 +155,17 @@ def _cmd_thin(args) -> int:
         return EXIT_CONFIG
     aux = long_edge_percolation_graph(g, args.a, args.b)
     fraction, wraps = aux_largest_component(aux)
-    writer = csv.writer(sys.stdout if args.out is None else open(args.out, "w", newline=""))
-    writer.writerow(["a_m", "b_m", "n_long_streets", "n_endpoints", "n_aux_edges",
-                     "largest_fraction_of_long_length", "wraps_torus"])
-    writer.writerow([
-        repr(float(args.a)), repr(float(args.b)),
-        len(aux.street_edges), len(aux.vertices), len(aux.aux_edges),
-        repr(float(fraction)), "true" if wraps else "false",
-    ])
+    out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
+    with out as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a_m", "b_m", "n_long_streets", "n_endpoints", "n_aux_edges",
+                         "largest_fraction_of_long_length", "wraps_torus"])
+        writer.writerow([
+            repr(float(args.a)), repr(float(args.b)),
+            len(aux.street_edges), len(aux.vertices), len(aux.aux_edges),
+            repr(float(fraction)), "true" if wraps else "false",
+        ])
     return EXIT_OK
-
-
-def run_experiment(config_path, seed_offset: int = 0, jobs: int = 1, out_dir=None) -> int:
-    """Programmatic equivalent of ``streetsim run``; returns the exit status."""
-    argv = ["run", str(config_path), "--seed-offset", str(seed_offset), "--jobs", str(jobs)]
-    if out_dir is not None:
-        argv += ["--out", str(out_dir)]
-    return main(argv)
 
 
 def main(argv=None) -> int:

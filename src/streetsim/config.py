@@ -9,7 +9,9 @@ generators derived via SeedSequence(seed, spawn_key=(stream index,)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -137,7 +139,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             T_s=t_list,
             kernel=kernel,
             velocity=_velocity_from_dict(data["velocity"]),
-            seeds=tuple(int(s) for s in data["seeds"]),
+            seeds=tuple(_seed(s) for s in data["seeds"]),
             outputs=outputs,
             sweep=sweep,
         )
@@ -147,18 +149,41 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
+def _seed(s) -> int:
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise ConfigError(f"seeds: {s!r} is not an integer") from None
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(data)
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """All invariant violations, each naming the field and the constraint."""
     v: list[str] = []
+    numbers = {
+        "torus_side_m": (cfg.torus_side_m,),
+        "street_intensity_km_per_km2": (cfg.street_intensity_km_per_km2,),
+        "lambda_per_km": (cfg.lambda_per_km,),
+        "r_m": (cfg.r_m,),
+        "rho_s": (cfg.rho_s,),
+        "T_s": cfg.T_s,
+        "kernel": (cfg.kernel.radius_m,),
+        "velocity": astuple(cfg.velocity),
+        "sweep.values": cfg.sweep.values if cfg.sweep is not None else (),
+    }
+    for name, values in numbers.items():
+        if not all(math.isfinite(x) for x in values):
+            v.append(f"{name}: must be finite")
     if cfg.torus_side_m <= 0:
         v.append("torus_side_m: must be positive")
     if cfg.street_intensity_km_per_km2 <= 0:

@@ -6,6 +6,14 @@ destination) in a priority queue, and only the device that caused an event
 is updated when it fires.  Per pair of devices sharing a street the engine
 keeps the analytically solved contact interval; a connection is established
 once a contact has lasted longer than the connection time rho.
+
+The queue holds one more event, FINISH at the horizon T.  It discards every
+pending movement and leaves a single GLOBAL_UPDATE at T, which brings all
+positions to T and evaluates the contacts still running.  Events at the same
+instant fire in the numeric order of their kinds, then by device id.
+With ``initialize(record_history=True)`` every maximal same-street contact
+interval is logged, from which :func:`derived_connection_graph` rebuilds the
+connection graph for any (T', rho') with T' <= T.
 """
 
 from __future__ import annotations
@@ -38,30 +46,18 @@ __all__ = [
     "handle_finish",
     "run",
     "derived_connection_graph",
-    "schedule_global_update",
-    "schedule_state_event",
 ]
 
 
 class EventKind(IntEnum):
-    INFECTED = 1
-    CURED = 2
+    """Event kinds; the values are written to trace files and also set the
+    same-instant order: street/destination transitions first, then the
+    global evaluation, and Finish last."""
+
     REACH_CROSSING = 3
     REACH_DESTINATION = 4
     GLOBAL_UPDATE = 5
     FINISH = 6
-
-
-# same-instant resolution order: street/destination transitions first, then
-# global evaluation, then state changes, and Finish last
-_PRIORITY = {
-    EventKind.REACH_CROSSING: 0,
-    EventKind.REACH_DESTINATION: 1,
-    EventKind.GLOBAL_UPDATE: 2,
-    EventKind.INFECTED: 3,
-    EventKind.CURED: 4,
-    EventKind.FINISH: 5,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,35 +68,30 @@ class Event:
 
 
 class EventQueue:
-    """Events ordered by (time, kind priority, device id)."""
+    """Events ordered by (time, kind, device id)."""
 
     __slots__ = ("_heap",)
 
     def __init__(self):
-        self._heap: list[tuple[float, int, int, int]] = []
+        self._heap: list[tuple[float, int, int]] = []
 
     def __len__(self):
         return len(self._heap)
 
     def push(self, ev: Event) -> None:
         dev = ev.device if ev.device is not None else -1
-        heappush(self._heap, (ev.time, _PRIORITY[ev.kind], dev, int(ev.kind)))
+        heappush(self._heap, (ev.time, int(ev.kind), dev))
 
     def pop(self) -> Event:
-        t, _, dev, kind = heappop(self._heap)
+        t, kind, dev = heappop(self._heap)
         return Event(t, EventKind(kind), dev if dev >= 0 else None)
-
-    def peek_time(self) -> float:
-        return self._heap[0][0]
 
     def clear(self) -> None:
         self._heap.clear()
 
     def snapshot(self) -> list[Event]:
-        out = []
-        for t, _, dev, kind in sorted(self._heap):
-            out.append(Event(t, EventKind(kind), dev if dev >= 0 else None))
-        return out
+        return [Event(t, EventKind(kind), dev if dev >= 0 else None)
+                for t, kind, dev in sorted(self._heap)]
 
 
 @dataclass(slots=True)
@@ -251,8 +242,6 @@ class SimulationState:
     gap_segments: dict[tuple[int, int], _GapSegment] = field(default_factory=dict)
     min_gaps: dict[tuple[int, int], float] = field(default_factory=dict)
     trace: object = None  # callable(Event, SimulationState) or None
-    on_infected: object = None
-    on_cured: object = None
 
     def connection_graph(self) -> ConnectionGraph:
         return ConnectionGraph(
@@ -486,50 +475,12 @@ def handle_finish(ev: Event, state: SimulationState) -> None:
     state.queue.push(Event(ev.time, EventKind.GLOBAL_UPDATE))
 
 
-def _handle_infected(ev: Event, state: SimulationState) -> None:
-    if state.on_infected is not None:
-        state.on_infected(ev, state)
-
-
-def _handle_cured(ev: Event, state: SimulationState) -> None:
-    if state.on_cured is not None:
-        state.on_cured(ev, state)
-
-
 _DISPATCH = {
     EventKind.REACH_CROSSING: handle_reach_crossing,
     EventKind.REACH_DESTINATION: handle_reach_destination,
     EventKind.GLOBAL_UPDATE: handle_global_update,
     EventKind.FINISH: handle_finish,
-    EventKind.INFECTED: _handle_infected,
-    EventKind.CURED: _handle_cured,
 }
-
-
-def record_contact_history(state: SimulationState, enabled: bool = True) -> None:
-    """Enable (or disable) contact-interval logging; set before run().
-
-    With recording on, every maximal same-street contact interval [u, w] per
-    device pair is appended to ``state.history``, from which the connection
-    graph for any (T', rho') with T' <= T follows via
-    :func:`derived_connection_graph`.
-    """
-    if state.time > 0.0:
-        raise ValueError("contact history must be enabled before the run starts")
-    state.record_history = enabled
-
-
-def schedule_global_update(state: SimulationState, t: float) -> None:
-    if not 0.0 <= t <= state.T:
-        raise ValueError("global update must be within [0, T]")
-    state.queue.push(Event(t, EventKind.GLOBAL_UPDATE))
-
-
-def schedule_state_event(state: SimulationState, t: float, kind: EventKind, device: int) -> None:
-    """Queue an infection/cure placeholder event (handled by callbacks)."""
-    if kind not in (EventKind.INFECTED, EventKind.CURED):
-        raise ValueError("only infection/cure events can be scheduled here")
-    state.queue.push(Event(t, kind, device))
 
 
 def run(state: SimulationState) -> ConnectionGraph:

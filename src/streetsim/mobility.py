@@ -9,8 +9,7 @@ sampling waypoints; movement and contact checks work entirely on fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
 import numpy as np
@@ -19,7 +18,6 @@ from .streets import CellIndex, StreetGraph, StreetPosition, project_to_street
 from .torus import TorusPoint, wrap
 
 __all__ = [
-    "DeviceState",
     "Device",
     "Path",
     "DiracVelocity",
@@ -33,19 +31,12 @@ __all__ = [
     "shortest_path",
     "position_at",
     "advance_to",
-    "reverse_path",
     "sample_velocity",
 ]
 
 
 class RuntimeInvariantError(RuntimeError):
     """A simulation invariant was violated (indicates a scheduling bug)."""
-
-
-class DeviceState(Enum):
-    SUSCEPTIBLE = "susceptible"
-    INFECTED = "infected"
-    CURED = "cured"
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,10 +77,6 @@ class Path:
         )
 
 
-def reverse_path(path: Path) -> Path:
-    return path.reverse()
-
-
 @dataclass(slots=True)
 class Device:
     id: int
@@ -99,7 +86,6 @@ class Device:
     path: Path
     home: StreetPosition
     destination: StreetPosition
-    state: DeviceState = DeviceState.SUSCEPTIBLE
     leg: int = 0
     street_length: float = 0.0  # cached length of the current street
 
@@ -110,7 +96,7 @@ class Device:
     def clone(self) -> "Device":
         return Device(
             self.id, self.pos, self.time_of_pos, self.velocity, self.path,
-            self.home, self.destination, self.state, self.leg, self.street_length,
+            self.home, self.destination, self.leg, self.street_length,
         )
 
 
@@ -484,20 +470,3 @@ def assign_commute(
     d.destination = path.end
     d.street_length = g.edges[path.streets[0]].length
 
-
-def _position_dict(pos: StreetPosition) -> dict:
-    return {"street": pos.street, "v1": pos.v1, "v2": pos.v2, "p": pos.p}
-
-
-def device_snapshot(d: Device) -> dict:
-    """JSON-ready snapshot of a device's externally visible state."""
-    return {
-        "id": d.id,
-        "street": d.pos.street,
-        "endpoints": [d.pos.v1, d.pos.v2],
-        "p": d.pos.p,
-        "velocity_mps": d.velocity,
-        "state": d.state.value,
-        "home": _position_dict(d.home),
-        "destination": _position_dict(d.destination),
-    }

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Voronoi, cKDTree
 
 from .torus import TorusPoint, boundary_crossing_points, min_image_delta, torus_distance, wrap
@@ -305,19 +307,11 @@ def build_from_seeds(seeds: np.ndarray, L: float) -> StreetGraph:
         raise DegenerateTessellation("crossing with degree != 3")
 
     # connectivity sanity: the skeleton of a torus tessellation is connected
-    parent = {vid: vid for vid in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges.values():
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-    if len({find(v) for v in vertices}) != 1:
+    # (crossing ids are 0..len(vertices)-1)
+    ends = np.array([(e.u, e.v) for e in edges.values()], dtype=np.intp).reshape(-1, 2)
+    n_v = len(vertices)
+    adj = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n_v, n_v))
+    if connected_components(adj, directed=False)[0] != 1:
         raise DegenerateTessellation("imported street graph is disconnected")
 
     cells = {

@@ -11,6 +11,7 @@ import time
 
 import networkx as nx
 import numpy as np
+import pytest
 from scipy import stats
 
 from streetsim.analysis import (
@@ -65,6 +66,7 @@ def criterion(n, description):
 # -- 1: in-and-out of percolation ---------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_in_and_out_of_percolation():
     scales = [0.3, 0.5, 0.75, 1.0, 1.5, 2.25, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
     cfg = parse_config({
@@ -135,6 +137,7 @@ def _oracle_instance(seed, T, r, rho):
     return g, devices, engine_graph
 
 
+@pytest.mark.slow
 def test_criterion_2_engine_matches_discrete_reference():
     T, r, rho = 80.0, 20.0, 10.0
     with criterion(2, "event engine vs discrete-time reference on 100 instances"):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 
+import pytest
+
 from streetsim.cli import main
-from streetsim.config import load_config, parse_config, validate_config
+from streetsim.config import ConfigError, load_config, parse_config, validate_config
 from streetsim.streets import StreetGraph
 
 
@@ -52,6 +55,36 @@ class TestValidate:
         assert main(["validate", str(broken)]) == 2
         err = capsys.readouterr().err
         assert "broken.json:1" in err  # line-precise parse error
+
+
+class TestConfigInput:
+    @pytest.mark.parametrize("command", [["run"], ["validate"], ["gen-streets", "--out", "g.json"]])
+    def test_missing_config_file_exits_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.json")
+        assert main([command[0], missing, *command[1:]]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2  # a directory, not a file
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_non_finite_fields_reported(self, tmp_path, capsys):
+        assert any("r_m: must be finite" in v
+                   for v in validate_config(parse_config(base_config(r_m=float("nan")))))
+        assert any("T_s: must be finite" in v
+                   for v in validate_config(parse_config(base_config(T_s=[float("nan")]))))
+        assert any("velocity: must be finite" in v for v in validate_config(
+            parse_config(base_config(velocity={"dirac": {"v_mps": float("inf")}}))))
+        path = write_config(tmp_path, base_config(r_m=float("nan")))
+        assert main(["validate", path]) == 2
+        assert "r_m: must be finite" in capsys.readouterr().err
+
+    def test_non_integer_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="not an integer"):
+            parse_config(base_config(seeds=[1.5]))
+        path = write_config(tmp_path, base_config(seeds=[1, 1.5]))
+        assert main(["validate", path]) == 2
+        assert "not an integer" in capsys.readouterr().err
 
 
 class TestRun:
@@ -110,6 +143,56 @@ class TestRun:
         hist = (out / "history-seed1.csv").read_text().strip().split("\n")
         assert hist[0] == "pair_i,pair_j,u,w"
 
+    def test_golden_bytes(self, tmp_path):
+        # pins the CSV, trace and history bytes of one seed; a change that
+        # moves any of these digests changes the program's output contract
+        cfg = base_config(seeds=[1], outputs={"csv_path": "out.csv", "trace": True, "history": True})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "golden"
+        assert main(["run", path, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("out.csv", "trace-seed1.jsonl", "history-seed1.csv")}
+        assert digests == {
+            "out.csv": "6f64295c9a3afbecf3d8e7e5b3ab36b48eb41cdf7bfb75dbfbe6b919eb8e0b48",
+            "trace-seed1.jsonl": "06945c0dc00de9ee3ab8271096a3853e41047ded7dd13ca99e44a9332c748ecc",
+            "history-seed1.csv": "fbe3185e1a1968b22ac9b1ca80249029d89976a235c6d816b1d8187436af4e65",
+        }
+
+    @pytest.mark.parametrize("jobs, n_seeds, cpus, expected", [
+        (64, 5, 3, 3),     # clamped to the CPU count
+        (64, 2, 8, 2),     # clamped to the seed count
+        (2, 5, 8, 2),
+        (64, 1, 8, None),  # one seed: no pool
+        (4, 3, None, None),  # unknown CPU count counts as one
+    ])
+    def test_jobs_worker_count(self, tmp_path, monkeypatch, jobs, n_seeds, cpus, expected):
+        import streetsim.cli as cli
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = base_config(lambda_per_km=0.0, seeds=list(range(1, n_seeds + 1)))
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "par"), "--jobs", str(jobs)]) == 0
+        assert started == ([] if expected is None else [expected])
+        assert main(["run", path, "--out", str(tmp_path / "serial")]) == 0
+        assert (tmp_path / "par" / "out.csv").read_bytes() == \
+            (tmp_path / "serial" / "out.csv").read_bytes()
+
     def test_runtime_breach_exit_code(self, tmp_path, monkeypatch):
         import streetsim.cli as cli
         from streetsim.mobility import RuntimeInvariantError
@@ -140,6 +223,20 @@ class TestGenStreetsAndThin:
         out = capsys.readouterr().out.strip().split("\n")
         assert out[0].startswith("a_m,b_m,n_long_streets")
         assert len(out) == 2
+
+    def test_thin_out_file_matches_stdout(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", path, "--out", str(graph_path)])
+        capsys.readouterr()
+        argv = ["thin", str(graph_path), "--a", "30", "--b", "100"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        census = tmp_path / "census.csv"
+        assert main(argv + ["--out", str(census)]) == 0
+        with open(census, newline="") as fh:
+            assert fh.read() == stdout
+        assert len(stdout.splitlines()) == 2
 
     def test_thin_rejects_missing_graph(self, tmp_path):
         assert main(["thin", str(tmp_path / "nope.json"), "--a", "1", "--b", "1"]) == 2

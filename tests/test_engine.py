@@ -15,8 +15,6 @@ from streetsim.engine import (
     initialize,
     merge_reversal_interval,
     run,
-    schedule_global_update,
-    schedule_state_event,
     try_establish,
 )
 from streetsim.mobility import Device, Path, RuntimeInvariantError
@@ -161,14 +159,12 @@ class TestQueueAndInit:
     def test_same_instant_kind_order(self):
         q = EventQueue()
         t = 5.0
-        for kind in (EventKind.FINISH, EventKind.CURED, EventKind.INFECTED,
-                     EventKind.GLOBAL_UPDATE, EventKind.REACH_DESTINATION,
-                     EventKind.REACH_CROSSING):
+        for kind in (EventKind.FINISH, EventKind.GLOBAL_UPDATE,
+                     EventKind.REACH_DESTINATION, EventKind.REACH_CROSSING):
             q.push(Event(t, kind, 7))
         kinds = [q.pop().kind for _ in range(len(q))]
         assert kinds == [EventKind.REACH_CROSSING, EventKind.REACH_DESTINATION,
-                         EventKind.GLOBAL_UPDATE, EventKind.INFECTED,
-                         EventKind.CURED, EventKind.FINISH]
+                         EventKind.GLOBAL_UPDATE, EventKind.FINISH]
 
     def test_tie_break_by_device_id(self):
         q = EventQueue()
@@ -251,14 +247,14 @@ class TestHandlers:
 
     def test_global_update_at_zero_is_noop(self):
         g, state = two_device_scenario(T=120.0)
-        schedule_global_update(state, 0.0)
+        state.queue.push(Event(0.0, EventKind.GLOBAL_UPDATE))
         cg = run(state)
         assert cg.edges == frozenset({(0, 1)})
 
     def test_global_update_mid_contact_establishes(self):
         # rho=10, update at t=51: elapsed 11 s of the [40, 60] contact
         g, state = two_device_scenario(T=55.0, rho=10.0)
-        schedule_global_update(state, 51.0)
+        state.queue.push(Event(51.0, EventKind.GLOBAL_UPDATE))
         seen = []
         state.trace = lambda ev, st: seen.append(
             (ev.time, ev.kind, frozenset(st.established)))
@@ -268,7 +264,7 @@ class TestHandlers:
 
     def test_global_update_materializes_positions(self):
         g, state = two_device_scenario(T=80.0)
-        schedule_global_update(state, 30.0)
+        state.queue.push(Event(30.0, EventKind.GLOBAL_UPDATE))
 
         checks = []
 
@@ -288,16 +284,6 @@ class TestHandlers:
         handle_finish(Event(50.0, EventKind.FINISH), state)
         snap = state.queue.snapshot()
         assert snap == [Event(50.0, EventKind.GLOBAL_UPDATE, None)]
-
-    def test_placeholder_events_are_noops_with_hooks(self):
-        g, state = two_device_scenario(T=120.0)
-        calls = []
-        state.on_infected = lambda ev, st: calls.append(("infected", ev.device))
-        schedule_state_event(state, 10.0, EventKind.INFECTED, 0)
-        schedule_state_event(state, 20.0, EventKind.CURED, 1)
-        cg = run(state)
-        assert cg.edges == frozenset({(0, 1)})
-        assert calls == [("infected", 0)]
 
 
 class TestRun:
@@ -442,24 +428,6 @@ class TestScalingRelation:
                 d.velocity *= a
             direct = run(initialize(g, scaled, r=20.0, rho=rho, T=T))
             assert d_graph.edges == direct.edges
-
-
-class TestRecordContactHistory:
-    def test_enable_before_run(self):
-        from streetsim.engine import record_contact_history
-
-        g, state = two_device_scenario(T=120.0, record_history=False)
-        record_contact_history(state, True)
-        run(state)
-        assert [tuple(h) for h in state.history] == [(0, 1, 40.0, 60.0)]
-
-    def test_rejected_after_start(self):
-        from streetsim.engine import record_contact_history
-
-        g, state = two_device_scenario(T=120.0)
-        run(state)
-        with pytest.raises(ValueError):
-            record_contact_history(state, True)
 
 
 def eager_coords(path0, velocity, g, t):

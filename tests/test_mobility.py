@@ -14,7 +14,6 @@ from streetsim.mobility import (
     TwoPointVelocity,
     coords,
     position_at,
-    reverse_path,
     sample_destination_kappa_doubleprime,
     sample_destination_kappa_prime,
     sample_devices,
@@ -287,13 +286,13 @@ class TestReversePath:
         # complementing twice is float-exact for dyadic fractions; arbitrary
         # fractions may drift by one ulp per round trip (inherent to 1-p)
         p = Path(StreetPosition(0, 1, 2, 0.3125), (2, 3), StreetPosition(2, 3, 4, 0.8125), (0, 1, 2))
-        assert reverse_path(reverse_path(p)) == p
+        assert p.reverse().reverse() == p
 
     def test_involution_semantic(self, rng):
         for _ in range(200):
             a, b = rng.uniform(size=2)
             p = Path(StreetPosition(0, 1, 2, float(a)), (2,), StreetPosition(1, 2, 3, float(b)), (0, 1))
-            r = reverse_path(reverse_path(p))
+            r = p.reverse().reverse()
             assert (r.crossings, r.streets) == (p.crossings, p.streets)
             assert (r.start.v1, r.start.v2, r.end.v1, r.end.v2) == (
                 p.start.v1, p.start.v2, p.end.v1, p.end.v2)
@@ -378,22 +377,3 @@ class TestCoords:
             gap = abs(p1 - p2) * e.length
             assert gap == pytest.approx(torus_distance(coords(a, g), coords(b, g), g.L), abs=1e-6)
 
-
-class TestDeviceSnapshot:
-    def test_fields(self, single_street_graph):
-        import json
-
-        from streetsim.mobility import device_snapshot
-
-        g = single_street_graph
-        from conftest import make_device
-
-        d = make_device(3, g, StreetPosition(0, 0, 1, 0.25), StreetPosition(0, 0, 1, 0.75), 1.5)
-        snap = device_snapshot(d)
-        assert snap["id"] == 3
-        assert snap["endpoints"] == [0, 1]
-        assert snap["p"] == 0.25
-        assert snap["velocity_mps"] == 1.5
-        assert snap["state"] == "susceptible"
-        assert snap["destination"]["p"] == 0.75
-        json.dumps(snap)  # JSON-serializable
