@@ -27,6 +27,7 @@ __all__ = [
     "largest_cluster_fraction",
     "cluster_size_histogram",
     "connection_graph_wraps",
+    "home_anchors",
     "thinned_street_graph",
     "AuxGraph",
     "long_edge_percolation_graph",
@@ -67,22 +68,31 @@ def cluster_size_histogram(cg: ConnectionGraph) -> list[tuple[int, int]]:
     return [(int(s), int(c)) for s, c in zip(sizes, counts)]
 
 
-def connection_graph_wraps(cg: ConnectionGraph, devices_by_id, g: StreetGraph) -> bool:
+def connection_graph_wraps(cg: ConnectionGraph, anchors, g: StreetGraph) -> bool:
     """Whether some connection cluster closes a loop around the torus.
 
     Finite-volume heuristic: devices are anchored at their home coordinates
-    and each edge carries the minimal-image displacement between homes; a
-    cycle whose displacements do not cancel wraps the torus.
+    (``anchors`` maps each device id with an edge to its home's ``(x, y)``,
+    as :func:`home_anchors` builds it) and each edge carries the
+    minimal-image displacement between homes; a cycle whose displacements do
+    not cancel wraps the torus.
     """
     if not cg.edges:
         return False
-    anchors = {did: coords(devices_by_id[did].home, g) for did in cg.vertices}
     adj: dict[int, list[tuple[int, float, float]]] = {v: [] for v in cg.vertices}
     for i, j in cg.edges:
         dx, dy = min_image_delta(anchors[i], anchors[j], g.L)
         adj[i].append((j, dx, dy))
         adj[j].append((i, -dx, -dy))
     return _has_winding_cycle(cg.vertices, adj, g.L)
+
+
+def home_anchors(devices_by_id, g: StreetGraph) -> dict[int, tuple[float, float]]:
+    """Home coordinates of every device, the anchors of :func:`connection_graph_wraps`.
+
+    Homes do not move, so a sweep computes them once per seed.
+    """
+    return {did: tuple(coords(d.home, g)) for did, d in devices_by_id.items()}
 
 
 def _has_winding_cycle(vertices, adj, L: float) -> bool:
@@ -302,7 +312,7 @@ def _sweep_one_seed(config, seed: int) -> list[SweepRow]:
     state = initialize(g, devices, r=config.r_m, rho=config.rho_s, T=base_T,
                        record_history=True)
     run(state)
-    by_id = state.devices
+    anchors = home_anchors(state.devices, g)
     for a in scales:
         for T in horizons:
             cg = derived_connection_graph(state, a * T, a * config.rho_s)
@@ -311,7 +321,7 @@ def _sweep_one_seed(config, seed: int) -> list[SweepRow]:
                 T_s=T, rho_s=config.rho_s, r_m=config.r_m,
                 lambda_per_m=lam_per_m, n_devices=len(devices),
                 largest_fraction=largest_cluster_fraction(cg),
-                wraps=connection_graph_wraps(cg, by_id, g),
+                wraps=connection_graph_wraps(cg, anchors, g),
             ))
     return rows
 

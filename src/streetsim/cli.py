@@ -73,24 +73,21 @@ def _emit_side_outputs(cfg: ExperimentConfig, seed: int, out_dir: FsPath) -> Non
     g, devices, _ = build_seed_state(cfg, seed)
     scales = cfg.sweep.values if cfg.sweep is not None else (1.0,)
     base_T = max(scales) * max(cfg.T_s)
-    trace_fh = None
-    trace_cb = None
-    if cfg.outputs.trace:
-        trace_fh = open(out_dir / f"trace-seed{seed}.jsonl", "w")
-
-        def trace_cb(ev, state):
-            dev = state.devices.get(ev.device) if ev.device is not None else None
-            street = dev.pos.street if dev is not None else None
-            trace_fh.write(json.dumps(
-                {"t": ev.time, "kind": int(ev.kind), "device": ev.device, "street": street}
-            ) + "\n")
-
     state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s, T=base_T,
                        record_history=cfg.outputs.history)
-    state.trace = trace_cb
-    run(state)
-    if trace_fh is not None:
-        trace_fh.close()
+    trace_out = (open(out_dir / f"trace-seed{seed}.jsonl", "w") if cfg.outputs.trace
+                 else contextlib.nullcontext())
+    with trace_out as trace_fh:
+        if trace_fh is not None:
+            def trace_cb(ev, state):
+                dev = state.devices.get(ev.device) if ev.device is not None else None
+                street = dev.pos.street if dev is not None else None
+                trace_fh.write(json.dumps(
+                    {"t": ev.time, "kind": int(ev.kind), "device": ev.device, "street": street}
+                ) + "\n")
+
+            state.trace = trace_cb
+        run(state)
     if cfg.outputs.history:
         with open(out_dir / f"history-seed{seed}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -108,7 +105,11 @@ def _cmd_run(args) -> int:
     if args.seed_offset:
         cfg = dataclasses.replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = FsPath(args.out) if args.out else FsPath(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     workers = min(args.jobs, len(cfg.seeds), os.cpu_count() or 1)
     try:
         if workers > 1:
@@ -120,10 +121,14 @@ def _cmd_run(args) -> int:
         else:
             result = velocity_sweep(cfg)
         csv_path = out_dir / cfg.outputs.csv_path
-        write_sweep_csv(result, csv_path)
-        if cfg.outputs.trace or cfg.outputs.history:
-            for seed in cfg.seeds:
-                _emit_side_outputs(cfg, seed, out_dir)
+        try:
+            write_sweep_csv(result, csv_path)
+            if cfg.outputs.trace or cfg.outputs.history:
+                for seed in cfg.seeds:
+                    _emit_side_outputs(cfg, seed, out_dir)
+        except OSError as exc:
+            print(f"config error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     except (RuntimeInvariantError, DegenerateTessellation) as exc:
         print(f"runtime invariant breach: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -142,7 +147,11 @@ def _cmd_gen_streets(args) -> int:
     except DegenerateTessellation as exc:
         print(f"runtime invariant breach: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    g.to_json(args.out)
+    try:
+        g.to_json(args.out)
+    except OSError as exc:
+        print(f"config error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -155,7 +164,11 @@ def _cmd_thin(args) -> int:
         return EXIT_CONFIG
     aux = long_edge_percolation_graph(g, args.a, args.b)
     fraction, wraps = aux_largest_component(aux)
-    out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
+    try:
+        out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
+    except OSError as exc:
+        print(f"config error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     with out as fh:
         writer = csv.writer(fh)
         writer.writerow(["a_m", "b_m", "n_long_streets", "n_endpoints", "n_aux_edges",

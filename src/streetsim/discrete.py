@@ -9,7 +9,7 @@ trade-off that motivates event-driven simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .engine import ConnectionGraph
 from .mobility import Device
@@ -48,14 +48,13 @@ def _advance(d: Device, g: StreetGraph, dt: float) -> None:
         target = d.path.end.p if d.leg == d.path.n_legs - 1 else 1.0
         t_need = (target - d.pos.p) * length / d.velocity
         if t_need > remaining:
-            d.pos = replace(d.pos, p=d.pos.p + remaining * d.velocity / length)
+            d.pos = d.pos._replace(p=d.pos.p + remaining * d.velocity / length)
             remaining = 0.0
             break
         remaining -= t_need
         if d.leg == d.path.n_legs - 1:
-            d.path = d.path.reverse()
             d.leg = 0
-            d.pos = d.path.start
+            d.pos = d.turn_around().start
         else:
             crossing = d.path.crossings[d.leg]
             d.leg += 1

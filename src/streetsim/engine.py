@@ -7,10 +7,23 @@ is updated when it fires.  Per pair of devices sharing a street the engine
 keeps the analytically solved contact interval; a connection is established
 once a contact has lasted longer than the connection time rho.
 
-The queue holds one more event, FINISH at the horizon T.  It discards every
-pending movement and leaves a single GLOBAL_UPDATE at T, which brings all
-positions to T and evaluates the contacts still running.  Events at the same
-instant fire in the numeric order of their kinds, then by device id.
+The queue is a binary heap of raw ``(time, kind, device)`` tuples, with
+device ``-1`` for the events that belong to no device.  It holds one more
+event, FINISH at the horizon T.  FINISH discards every pending movement and
+leaves a single GLOBAL_UPDATE at T, which brings all positions to T and
+evaluates the contacts still running.  Events at the same instant fire in
+the numeric order of their kinds, then by device id.
+
+:class:`Event` objects exist only at the edges: the trace hook receives
+one, the once-per-run GLOBAL_UPDATE and FINISH handlers take one,
+:meth:`EventQueue.push` takes one and :meth:`EventQueue.pop` and
+:meth:`EventQueue.snapshot` return them.  Crossing and destination events,
+nearly all of a run, never become objects.  When ``state.trace`` is set,
+:func:`run` calls ``state.trace(ev, state)`` once per event, after the clock
+has moved to ``ev.time`` and before the event is handled; ``ev.kind`` is an
+:class:`EventKind` (an int, usable as an index) and ``ev.device`` is
+``None`` for kinds 5 and 6.  The hook is read once, when ``run`` starts.
+
 With ``initialize(record_history=True)`` every maximal same-street contact
 interval is logged, from which :func:`derived_connection_graph` rebuilds the
 connection graph for any (T', rho') with T' <= T.
@@ -22,6 +35,8 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +55,6 @@ __all__ = [
     "merge_reversal_interval",
     "initialize",
     "init_queue",
-    "handle_reach_crossing",
-    "handle_reach_destination",
     "handle_global_update",
     "handle_finish",
     "run",
@@ -60,38 +73,50 @@ class EventKind(IntEnum):
     FINISH = 6
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+# plain ints for the heap tuples and the dispatch in run
+_CROSSING = int(EventKind.REACH_CROSSING)
+_DESTINATION = int(EventKind.REACH_DESTINATION)
+_GLOBAL_UPDATE = int(EventKind.GLOBAL_UPDATE)
+_KINDS = {int(k): k for k in EventKind}
+
+
+class Event(NamedTuple):
     time: float
     kind: EventKind
     device: int | None = None
 
 
 class EventQueue:
-    """Events ordered by (time, kind, device id)."""
+    """Events ordered by (time, kind, device id).
 
-    __slots__ = ("_heap",)
+    ``heap`` is a binary heap of raw ``(time, kind, device)`` tuples with
+    device -1 for events of no device; :func:`run` works on it directly.
+    """
+
+    __slots__ = ("heap",)
 
     def __init__(self):
-        self._heap: list[tuple[float, int, int]] = []
+        self.heap: list[tuple[float, int, int]] = []
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, ev: Event) -> None:
         dev = ev.device if ev.device is not None else -1
-        heappush(self._heap, (ev.time, int(ev.kind), dev))
+        heappush(self.heap, (ev.time, int(ev.kind), dev))
 
     def pop(self) -> Event:
-        t, kind, dev = heappop(self._heap)
-        return Event(t, EventKind(kind), dev if dev >= 0 else None)
+        return _event(*heappop(self.heap))
 
     def clear(self) -> None:
-        self._heap.clear()
+        self.heap.clear()
 
     def snapshot(self) -> list[Event]:
-        return [Event(t, EventKind(kind), dev if dev >= 0 else None)
-                for t, kind, dev in sorted(self._heap)]
+        return [_event(*item) for item in sorted(self.heap)]
+
+
+def _event(t: float, kind: int, dev: int) -> Event:
+    return Event(t, _KINDS[kind], dev if dev >= 0 else None)
 
 
 @dataclass(slots=True)
@@ -117,31 +142,35 @@ class ConnectionGraph:
         return len(self.vertices)
 
 
-def _pair(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
-
-
 # -- contact interval algebra -------------------------------------------------
 
 
-def _motion(d: Device, street: Street) -> tuple[float, float, float]:
-    """(position from street endpoint u in meters at t_ref, slope m/s, t_ref)."""
-    length = street.length
-    if d.pos.v1 == street.u:
-        x0 = d.pos.p * length
-        m = d.velocity if d.moving else 0.0
-    else:
-        x0 = (1.0 - d.pos.p) * length
-        m = -d.velocity if d.moving else 0.0
-    return x0, m, d.time_of_pos
-
-
 def _relative_line(d_i: Device, d_j: Device, street: Street, t_now: float) -> tuple[float, float]:
-    """Gap and relative speed: x_i(t) - x_j(t) = A + B*(t - t_now)."""
-    xi, mi, ti = _motion(d_i, street)
-    xj, mj, tj = _motion(d_j, street)
-    a = (xi + mi * (t_now - ti)) - (xj + mj * (t_now - tj))
+    """Gap and relative speed: x_i(t) - x_j(t) = A + B*(t - t_now).
+
+    Each device moves along the street as x(t) = x0 + m*(t - t_ref), with x0
+    its distance from the endpoint u at its stored time t_ref and m its
+    signed speed (0 when stationary).
+    """
+    length = street.length
+    u = street.u
+    pos = d_i.pos
+    if pos.v1 == u:
+        xi = pos.p * length
+        mi = d_i.velocity if d_i.moving else 0.0
+    else:
+        xi = (1.0 - pos.p) * length
+        mi = -d_i.velocity if d_i.moving else 0.0
+    pos = d_j.pos
+    if pos.v1 == u:
+        xj = pos.p * length
+        mj = d_j.velocity if d_j.moving else 0.0
+    else:
+        xj = (1.0 - pos.p) * length
+        mj = -d_j.velocity if d_j.moving else 0.0
+    a = (xi + mi * (t_now - d_i.time_of_pos)) - (xj + mj * (t_now - d_j.time_of_pos))
     return a, mi - mj
+
 
 def _solve_window(a: float, b: float, r: float) -> tuple[float, float] | None:
     """Solution of |A + B*tau| <= r as a tau interval, unclamped.
@@ -242,6 +271,8 @@ class SimulationState:
     gap_segments: dict[tuple[int, int], _GapSegment] = field(default_factory=dict)
     min_gaps: dict[tuple[int, int], float] = field(default_factory=dict)
     trace: object = None  # callable(Event, SimulationState) or None
+    # ``history`` as columns for derived graphs, built on first use
+    _history_columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def connection_graph(self) -> ConnectionGraph:
         return ConnectionGraph(
@@ -267,15 +298,11 @@ def _evaluate(state: SimulationState, pair, edge: ContactEdge, t: float) -> None
 
 
 def _gap_open(state: SimulationState, pair, street, t: float) -> None:
-    if not state.track_gaps:
-        return
     a, b = _relative_line(state.devices[pair[0]], state.devices[pair[1]], street, t)
     state.gap_segments[pair] = _GapSegment(t, a, b)
 
 
 def _gap_close(state: SimulationState, pair, t: float) -> None:
-    if not state.track_gaps:
-        return
     seg = state.gap_segments.pop(pair, None)
     if seg is None:
         return
@@ -291,16 +318,16 @@ def _gap_close(state: SimulationState, pair, t: float) -> None:
 # -- initialization -------------------------------------------------------------
 
 
-def _next_movement_event(d: Device, t: float) -> Event | None:
-    """The single pending event of a moving device from its current position."""
-    if not d.moving:
-        return None
+def _schedule(heap: list, d: Device, t: float) -> None:
+    """Push the single pending event of a moving device from its current position."""
     length = d.street_length
-    if d.leg == d.path.n_legs - 1:
-        dt = (d.path.end.p - d.pos.p) * length / d.velocity
-        return Event(t + dt, EventKind.REACH_DESTINATION, d.id)
-    dt = (1.0 - d.pos.p) * length / d.velocity
-    return Event(t + dt, EventKind.REACH_CROSSING, d.id)
+    path = d.path
+    if d.leg == len(path.streets) - 1:
+        dt = (path.end.p - d.pos.p) * length / d.velocity
+        heappush(heap, (t + dt, _DESTINATION, d.id))
+    else:
+        dt = (1.0 - d.pos.p) * length / d.velocity
+        heappush(heap, (t + dt, _CROSSING, d.id))
 
 
 def initialize(
@@ -342,122 +369,172 @@ def initialize(
                 interval = compute_contact_interval(d_i, d_j, street, 0.0, r)
                 if interval is not None:
                     state.active[pair] = ContactEdge(di_id, dj_id, interval[0], interval[1])
-                _gap_open(state, pair, street, 0.0)
+                if track_gaps:
+                    _gap_open(state, pair, street, 0.0)
     init_queue(state)
     return state
 
 
 def init_queue(state: SimulationState) -> None:
     """One movement event per moving device plus the Finish event at T."""
+    heap = state.queue.heap
     for did in sorted(state.devices):
-        ev = _next_movement_event(state.devices[did], 0.0)
-        if ev is not None:
-            state.queue.push(ev)
-    state.queue.push(Event(state.T, EventKind.FINISH))
+        d = state.devices[did]
+        if d.moving:
+            _schedule(heap, d, 0.0)
+    heappush(heap, (state.T, int(EventKind.FINISH), -1))
 
 
 # -- handlers --------------------------------------------------------------------
+#
+# The two movement handlers run once per event and carry the hot path: the
+# contact bookkeeping of leaving and entering a street, advancing residents
+# and solving contact windows, is written out in them rather than called.
+# Street device sets are walked unsorted; nothing the walk produces depends
+# on its order (history is sorted on write, graphs are frozensets).
 
 
-def _depart_street(state: SimulationState, d: Device, street: Street, t: float) -> None:
-    """Resolve contacts with everyone left behind and leave the street."""
-    for other_id in sorted(street.devices):
-        if other_id == d.id:
-            continue
-        pair = _pair(d.id, other_id)
-        edge = state.active.pop(pair, None)
-        if edge is not None:
-            _evaluate(state, pair, edge, t)
-            _log_history(state, pair, edge, t)
-        _gap_close(state, pair, t)
-    street.devices.discard(d.id)
-
-
-def _enter_street(state: SimulationState, d: Device, street: Street, t: float) -> None:
-    """Update residents to time t and solve fresh contact intervals."""
-    for other_id in sorted(street.devices):
-        if other_id == d.id:
-            continue
-        other = state.devices[other_id]
-        advance_to(other, t)
-        pair = _pair(d.id, other_id)
-        interval = compute_contact_interval(d, other, street, t, state.r)
-        if interval is not None:
-            edge = ContactEdge(pair[0], pair[1], interval[0], interval[1],
-                               connection=pair in state.established)
-            state.active[pair] = edge
-        _gap_open(state, pair, street, t)
-    street.devices.add(d.id)
-
-
-def handle_reach_crossing(ev: Event, state: SimulationState) -> None:
+def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
     """The device leaves its street, enters the next one and reschedules."""
-    d = state.devices[ev.device]
-    t = ev.time
-    if d.leg >= d.path.n_legs - 1:
+    path = d.path
+    streets = path.streets
+    leg = d.leg
+    last = len(streets) - 1
+    if leg >= last:
         raise RuntimeInvariantError(
             f"device {d.id} has no next street; destination event was missed"
         )
-    old_street = state.graph.edges[d.path.streets[d.leg]]
-    _depart_street(state, d, old_street, t)
+    edges = state.graph.edges
+    active = state.active
+    established = state.established
+    track_gaps = state.track_gaps
+    did = d.id
 
-    crossing = d.path.crossings[d.leg]
-    d.leg += 1
-    new_eid = d.path.streets[d.leg]
-    new_street = state.graph.edges[new_eid]
-    other = new_street.v if crossing == new_street.u else new_street.u
-    d.pos = StreetPosition(new_eid, crossing, other, 0.0)
+    # leave: resolve contacts with everyone left behind
+    members = edges[streets[leg]].devices
+    members.discard(did)
+    if members:
+        rho = state.rho
+        history = state.history if state.record_history else None
+        for oid in members:
+            pair = (did, oid) if did < oid else (oid, did)
+            edge = active.pop(pair, None)
+            if edge is not None:
+                # the edge is dropped, so only ``established`` keeps the
+                # outcome of the connection rule (try_establish's test)
+                c_min = edge.c_min
+                w = min(edge.c_max, t)
+                if w - c_min > rho and pair not in established:
+                    established.add(pair)
+                if history is not None and w > c_min:
+                    history.append((pair[0], pair[1], c_min, w))
+            if track_gaps:
+                _gap_close(state, pair, t)
+
+    # enter at p = 0, moving from the crossing towards the street's other end
+    crossing = path.crossings[leg]
+    leg += 1
+    d.leg = leg
+    eid = streets[leg]
+    street = edges[eid]
+    length = street.length
+    u = street.u
+    d.pos = StreetPosition(eid, crossing, street.v if crossing == u else u, 0.0)
     d.time_of_pos = t
-    d.street_length = new_street.length
-    _enter_street(state, d, new_street, t)
+    d.street_length = length
+    v = d.velocity
+    members = street.devices
+    if members:
+        # bring each resident to t and solve the contact window in closed
+        # form, as advance_to and compute_contact_interval do; both lines are
+        # referenced to t, where _relative_line's m*(t - t) terms add 0.0
+        devices = state.devices
+        r = state.r
+        x_d, m_d = (0.0, v) if crossing == u else (length, -v)
+        for oid in members:
+            o = devices[oid]
+            sid, v1, v2, p = o.pos
+            t0 = o.time_of_pos
+            if t < t0 - 1e-9:
+                raise ValueError(f"cannot evaluate device {oid} before its stored time")
+            if o.moving:
+                p_t = p + (t - t0) * o.velocity / o.street_length
+                if p_t > 1.0 + 1e-9:
+                    raise RuntimeInvariantError(
+                        f"device {oid} overshot its street (p={p_t}); missed crossing event"
+                    )
+                if p_t > 1.0:
+                    p_t = 1.0
+                if p_t != p:
+                    p = p_t
+                    o.pos = StreetPosition(sid, v1, v2, p)
+                m_o = o.velocity if v1 == u else -o.velocity
+            else:
+                m_o = 0.0
+            o.time_of_pos = t
+            if sid != eid:
+                raise RuntimeInvariantError(
+                    f"devices {did}, {oid} are not both on street {eid}"
+                )
+            a = x_d - (p * length if v1 == u else (1.0 - p) * length)
+            b = m_d - m_o
+            pair = (did, oid) if did < oid else (oid, did)
+            if b != 0.0:
+                lo = (-r - a) / b
+                hi = (r - a) / b
+                if not lo <= hi:
+                    lo, hi = hi, lo
+                if not hi < 0.0:
+                    active[pair] = ContactEdge(pair[0], pair[1], t + max(lo, 0.0), t + hi,
+                                               pair in established)
+            elif abs(a) <= r:  # parallel and in contact: [t, inf)
+                active[pair] = ContactEdge(pair[0], pair[1], t, math.inf, pair in established)
+            if track_gaps:
+                _gap_open(state, pair, street, t)
+    members.add(did)
+    # _schedule's times for p = 0, where (x - 0.0) and (1.0 - 0.0) * x are x
+    if leg == last:
+        heappush(state.queue.heap, (t + path.end.p * length / v, _DESTINATION, did))
+    else:
+        heappush(state.queue.heap, (t + length / v, _CROSSING, did))
 
-    nxt = _next_movement_event(d, t)
-    if nxt is not None:
-        state.queue.push(nxt)
 
-
-def handle_reach_destination(ev: Event, state: SimulationState) -> None:
+def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
     """Reverse the traveled path and update contacts for the changed motion."""
-    d = state.devices[ev.device]
-    t = ev.time
     street = state.graph.edges[d.path.streets[d.leg]]
-    d.path = d.path.reverse()
     d.leg = 0
-    d.pos = d.path.start
+    d.pos = d.turn_around().start
     d.time_of_pos = t
-
-    for other_id in sorted(street.devices):
-        if other_id == d.id:
+    did = d.id
+    devices = state.devices
+    active = state.active
+    r = state.r
+    for oid in street.devices:
+        if oid == did:
             continue
-        other = state.devices[other_id]
-        pair = _pair(d.id, other_id)
-        edge = state.active.get(pair)
+        win = _solve_window(*_relative_line(d, devices[oid], street, t), r)
+        new_abs = None if win is None else (t + win[0], t + win[1])
+        pair = (did, oid) if did < oid else (oid, did)
+        edge = active.get(pair)
         if edge is not None:
             _evaluate(state, pair, edge, t)
-        a, b = _relative_line(d, other, street, t)
-        win = _solve_window(a, b, state.r)
-        new_abs = None if win is None else (t + win[0], t + win[1])
-        if edge is not None:
             merged = merge_reversal_interval((edge.c_min, edge.c_max), new_abs, t)
             if merged is None:
                 _log_history(state, pair, edge, t)
-                del state.active[pair]
+                del active[pair]
             elif merged[0] == edge.c_min:
                 edge.c_max = merged[1]
             else:
                 _log_history(state, pair, edge, t)
                 edge.c_min, edge.c_max = merged
-        else:
-            if new_abs is not None and new_abs[1] >= t:
-                lo = max(new_abs[0], t)
-                state.active[pair] = ContactEdge(pair[0], pair[1], lo, new_abs[1],
-                                                 connection=pair in state.established)
-        _gap_close(state, pair, t)
-        _gap_open(state, pair, street, t)
-
-    nxt = _next_movement_event(d, t)
-    if nxt is not None:
-        state.queue.push(nxt)
+        elif new_abs is not None and new_abs[1] >= t:
+            active[pair] = ContactEdge(pair[0], pair[1], max(new_abs[0], t), new_abs[1],
+                                       pair in state.established)
+        if state.track_gaps:
+            _gap_close(state, pair, t)
+            _gap_open(state, pair, street, t)
+    if d.moving:
+        _schedule(state.queue.heap, d, t)
 
 
 def handle_global_update(ev: Event, state: SimulationState) -> None:
@@ -475,39 +552,58 @@ def handle_finish(ev: Event, state: SimulationState) -> None:
     state.queue.push(Event(ev.time, EventKind.GLOBAL_UPDATE))
 
 
-_DISPATCH = {
-    EventKind.REACH_CROSSING: handle_reach_crossing,
-    EventKind.REACH_DESTINATION: handle_reach_destination,
-    EventKind.GLOBAL_UPDATE: handle_global_update,
-    EventKind.FINISH: handle_finish,
-}
-
-
 def run(state: SimulationState) -> ConnectionGraph:
     """Drain the event queue and return the connection graph.
 
     Identical inputs (same sampled geometry, devices and parameters) produce
     a bitwise-identical result.
     """
-    while len(state.queue):
-        ev = state.queue.pop()
-        if ev.time < state.time - 1e-9:
-            raise RuntimeInvariantError(
-                f"event time regression: {ev.time} after {state.time}"
-            )
-        state.time = ev.time
-        if state.trace is not None:
-            state.trace(ev, state)
-        _DISPATCH[ev.kind](ev, state)
+    heap = state.queue.heap
+    devices = state.devices
+    trace = state.trace
+    now = state.time
+    while heap:
+        t, kind, dev = heappop(heap)
+        if t < now - 1e-9:
+            raise RuntimeInvariantError(f"event time regression: {t} after {now}")
+        state.time = now = t
+        if trace is not None:
+            trace(_event(t, kind, dev), state)
+        if kind == _CROSSING:
+            _reach_crossing(state, devices[dev], t)
+        elif kind == _DESTINATION:
+            _reach_destination(state, devices[dev], t)
+        elif kind == _GLOBAL_UPDATE:
+            handle_global_update(_event(t, kind, dev), state)
+        else:
+            handle_finish(_event(t, kind, dev), state)
     # close out contacts still running at the horizon
     for pair in sorted(state.active):
         edge = state.active[pair]
         _log_history(state, pair, edge, state.time)
-        _gap_close(state, pair, state.time)
+        if state.track_gaps:
+            _gap_close(state, pair, state.time)
     return state.connection_graph()
 
 
 # -- contact history -------------------------------------------------------------
+
+
+def _history_columns(state: SimulationState) -> tuple[np.ndarray, ...]:
+    """(i, j, u, w) columns of the recorded history, converted once.
+
+    History only grows, so the cached columns stand while the list they came
+    from has the same length.  They live as long as the state.
+    """
+    history = state.history
+    n = len(history)
+    cached = state._history_columns
+    if cached is None or cached[0] is not history or cached[1] != n:
+        i, j, u, w = (np.fromiter(map(itemgetter(k), history), dtype, count=n)
+                      for k, dtype in enumerate((np.int64, np.int64, float, float)))
+        cached = (history, n, i, j, u, w)
+        state._history_columns = cached
+    return cached[2:]
 
 
 def derived_connection_graph(
@@ -527,10 +623,7 @@ def derived_connection_graph(
         raise ValueError(f"derived horizon {T2} exceeds simulated horizon {state.T}")
     if not state.history:
         return ConnectionGraph(tuple(sorted(state.devices)), frozenset())
-    arr = np.asarray(state.history, dtype=float)
-    u = arr[:, 2]
-    w = arr[:, 3]
+    i, j, u, w = _history_columns(state)
     mask = np.minimum(w, T2) - u > rho2
-    pairs = arr[mask, :2].astype(np.int64)
-    edges = frozenset((int(i), int(j)) for i, j in pairs)
+    edges = frozenset(zip(i[mask].tolist(), j[mask].tolist()))
     return ConnectionGraph(tuple(sorted(state.devices)), edges)

@@ -9,7 +9,7 @@ sampling waypoints; movement and contact checks work entirely on fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -77,27 +77,63 @@ class Path:
         )
 
 
-@dataclass(slots=True)
 class Device:
-    id: int
-    pos: StreetPosition
-    time_of_pos: float
-    velocity: float
-    path: Path
-    home: StreetPosition
-    destination: StreetPosition
-    leg: int = 0
-    street_length: float = 0.0  # cached length of the current street
+    """A device, its commute and its current street position.
+
+    ``moving`` is a plain attribute, kept in step with ``path`` by the path
+    setter: a device is stationary when its path is, and turning around never
+    changes that.  The reversed route is built on the first turn and reused.
+    """
+
+    __slots__ = ("id", "pos", "time_of_pos", "velocity", "home", "destination", "leg",
+                 "street_length", "moving", "_path", "_reversed")
+
+    def __init__(self, id, pos, time_of_pos, velocity, path, home, destination,
+                 leg=0, street_length=0.0):
+        self.id = id
+        self.pos = pos
+        self.time_of_pos = time_of_pos
+        self.velocity = velocity
+        self.path = path
+        self.home = home
+        self.destination = destination
+        self.leg = leg
+        self.street_length = street_length  # cached length of the current street
 
     @property
-    def moving(self) -> bool:
-        return not self.path.is_stationary
+    def path(self) -> Path:
+        return self._path
+
+    @path.setter
+    def path(self, path: Path) -> None:
+        self._path = path
+        self._reversed = None
+        self.moving = path is not None and not path.is_stationary
+
+    def turn_around(self) -> Path:
+        """Make the reversed route the current path and return it.
+
+        Flipping a fraction twice can move it by an ulp (1 - (1 - p) != p),
+        but flipping it three times equals flipping it once.  So from the
+        first turn on the path alternates between its first and second
+        reversal, and both are built on that turn.
+        """
+        rev = self._reversed
+        if rev is None:
+            rev = self._path.reverse()
+            self._reversed = rev.reverse()
+        else:
+            self._reversed = self._path
+        self._path = rev
+        return rev
 
     def clone(self) -> "Device":
-        return Device(
-            self.id, self.pos, self.time_of_pos, self.velocity, self.path,
+        twin = Device(
+            self.id, self.pos, self.time_of_pos, self.velocity, self._path,
             self.home, self.destination, self.leg, self.street_length,
         )
+        twin._reversed = self._reversed
+        return twin
 
 
 # -- velocity distributions ------------------------------------------------
@@ -215,8 +251,9 @@ def position_at(d: Device, t: float) -> float:
 def advance_to(d: Device, t: float) -> None:
     """Materialize the device position at time t and update its timestamp."""
     p = position_at(d, t)
-    if p != d.pos.p:
-        d.pos = replace(d.pos, p=p)
+    pos = d.pos
+    if p != pos.p:
+        d.pos = StreetPosition(pos.street, pos.v1, pos.v2, p)
     d.time_of_pos = t
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -52,14 +53,15 @@ class DegenerateTessellation(Exception):
     """Raised when a sampled seed set produces a tessellation we reject."""
 
 
-@dataclass(frozen=True, slots=True)
-class StreetPosition:
+class StreetPosition(NamedTuple):
     """A point on a street as a linear combination of its endpoints.
 
     ``(street, v1, v2, p)`` and ``(street, v2, v1, 1-p)`` refer to the same
     point.  Moving devices store the orientation in which the fraction p
     increases along the direction of travel.  The street id disambiguates
-    parallel streets between the same pair of crossings.
+    parallel streets between the same pair of crossings.  It is a named
+    tuple because the event loop builds one per event, and a tuple is the
+    cheapest immutable record to build.
     """
 
     street: int

@@ -204,6 +204,74 @@ class TestRun:
         path = write_config(tmp_path, base_config())
         assert main(["run", path, "--out", str(tmp_path / "x")]) == 3
 
+    def test_trace_file_closed_on_runtime_breach(self, tmp_path, monkeypatch):
+        # the side-output simulation fails at its first turn-around: exit 3,
+        # and the trace file it was writing is closed and holds the events
+        # that fired before the failure
+        import streetsim.cli as cli
+        from streetsim.engine import EventKind, run
+        from streetsim.mobility import RuntimeInvariantError
+
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        def failing_run(state):
+            write_line = state.trace
+
+            def trace(ev, st):
+                write_line(ev, st)
+                if ev.kind == EventKind.REACH_DESTINATION:
+                    raise RuntimeInvariantError("synthetic mid-run breach")
+
+            state.trace = trace
+            return run(state)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(cli, "run", failing_run)
+        cfg = base_config(seeds=[1], outputs={"csv_path": "out.csv", "trace": True})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        traces = [fh for fh in opened if fh.name.endswith("trace-seed1.jsonl")]
+        assert len(traces) == 1 and traces[0].closed
+        lines = (out / "trace-seed1.jsonl").read_text().splitlines()
+        assert lines and json.loads(lines[-1])["kind"] == int(EventKind.REACH_DESTINATION)
+
+
+class TestOutputPaths:
+    """Outputs that cannot be written are a config error (exit 2), not a traceback."""
+
+    def test_run_out_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = write_config(tmp_path, base_config(lambda_per_km=0.0))
+        assert main(["run", path, "--out", str(blocker / "results")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_run_csv_in_missing_directory(self, tmp_path, capsys):
+        cfg = base_config(lambda_per_km=0.0, outputs={"csv_path": "missing/out.csv"})
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "results")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_thin_out_in_missing_directory(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", write_config(tmp_path, base_config(seeds=[9])), "--out", str(graph_path)])
+        capsys.readouterr()
+        out = tmp_path / "missing" / "census.csv"
+        assert main(["thin", str(graph_path), "--a", "30", "--b", "100", "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_streets_out_in_missing_directory(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        out = tmp_path / "missing" / "graph.json"
+        assert main(["gen-streets", path, "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestGenStreetsAndThin:
     def test_gen_streets_round_trip(self, tmp_path):

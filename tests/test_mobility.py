@@ -12,6 +12,7 @@ from streetsim.mobility import (
     PositiveNormalVelocity,
     RuntimeInvariantError,
     TwoPointVelocity,
+    assign_commute,
     coords,
     position_at,
     sample_destination_kappa_doubleprime,
@@ -318,6 +319,49 @@ class TestReversePath:
         assert r.entries()[0] == (verts[n], verts[n - 1], 1.0 - q)
         assert r.entries()[1:-1] == list(reversed(verts[1:n]))
         assert r.entries()[-1] == (verts[1], verts[0], 1.0 - p)
+
+
+class TestDeviceMotionState:
+    def test_moving_follows_every_path_assignment(self, rng):
+        g = generate_pvt(300.0, rng, seed_count=10)
+        idx = build_cell_index(g)
+        devices = sample_devices(g, 0.05, rng)
+        assert devices
+
+        def consistent(d):
+            return d.moving == (not d.path.is_stationary)
+
+        # sampled devices start stationary
+        assert all(consistent(d) and not d.moving for d in devices)
+        for k, d in enumerate(devices):
+            dest = d.home if k % 3 == 0 else sample_destination_kappa_prime(d.home, 60.0, g, idx, rng)
+            assign_commute(d, dest, 1.0, g)
+            assert consistent(d)
+            twin = d.clone()
+            assert consistent(twin) and twin.moving == d.moving
+            d.turn_around()
+            assert consistent(d) and d.moving == twin.moving
+        assert any(d.moving for d in devices) and not all(d.moving for d in devices)
+
+    def test_path_assigned_after_construction(self):
+        pos = StreetPosition(0, 0, 1, 0.25)
+        d = Device(0, pos, 0.0, 1.0, None, None, None)
+        assert not d.moving
+        d.path = Path(pos, (), StreetPosition(0, 0, 1, 1.0), (0,))
+        assert d.moving
+        d.path = Path(pos, (), pos, (0,))
+        assert not d.moving
+
+    @given(p=st.floats(0.0, 1.0, allow_nan=False), q=st.floats(0.0, 1.0, allow_nan=False))
+    def test_turn_around_equals_rebuilt_reverse(self, p, q):
+        # the cached reversals are bitwise the paths that reversing anew gives
+        path = Path(StreetPosition(0, 1, 2, p), (2, 5), StreetPosition(3, 5, 4, q), (0, 7, 3))
+        d = Device(0, path.start, 0.0, 1.0, path, path.start, path.end)
+        expected = path
+        for _ in range(5):
+            expected = expected.reverse()
+            assert d.turn_around() == expected
+            assert d.path == expected and d.clone().turn_around() == expected.reverse()
 
 
 class TestVelocities:
