@@ -21,6 +21,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -157,9 +158,14 @@ def _cmd_gen_streets(args) -> int:
 
 
 def _cmd_thin(args) -> int:
+    for name, value in (("--a", args.a), ("--b", args.b)):
+        if not (math.isfinite(value) and value >= 0.0):
+            print(f"config error: {name} must be finite and non-negative, got {value}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     try:
         g = StreetGraph.from_json(args.graph)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: cannot read graph: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     aux = long_edge_percolation_graph(g, args.a, args.b)

@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .streets import CellIndex, StreetGraph, StreetPosition, project_to_street
+from .streets import STREET_GRID_PAD, CellIndex, StreetGraph, StreetPosition, project_to_street
 from .torus import TorusPoint, wrap
 
 __all__ = [
@@ -313,20 +313,56 @@ def sample_destination_kappa_prime(
 
 
 def _disc_street_intervals(g: StreetGraph, center: TorusPoint, radius: float):
-    """Per street, the sub-intervals of the fraction parameter inside the disc."""
+    """Per street, the sub-intervals of the fraction parameter inside the disc.
+
+    Only streets listed in the street-grid squares that the disc's padded
+    box covers are visited, in ascending id, and for each only the torus
+    images of the disc whose box comes within the pad of the street's box.
+    A skipped street or image cannot yield an interval, so the result is
+    the one a walk over every street and all nine images gives.
+    """
     side = 2.0 * g.L
+    pad = STREET_GRID_PAD * side
+    reach = radius + pad
+    grid = g.street_grid()
+    cols = grid.span(center.x - reach, center.x + reach)
+    rows = grid.span(center.y - reach, center.y + reach)
+    if len(cols) == grid.dim and len(rows) == grid.dim:
+        candidates = sorted(g.edges)
+    else:
+        found: set[int] = set()
+        for i in cols:
+            for j in rows:
+                found.update(grid.grid[i * grid.dim + j])
+        candidates = sorted(found)
+    # centre images c + o: the same floats as in a walk over all nine images
+    x_images = [center.x + oi for oi in (-side, 0.0, side)]
+    y_images = [center.y + oj for oj in (-side, 0.0, side)]
     out = []
     total = 0.0
-    for eid in sorted(g.edges):
+    for eid in candidates:
         e = g.edges[eid]
-        ux, uy = g.vertices[e.u]
+        u = g.vertices[e.u]
+        ux = u.x
+        uy = u.y
         dx, dy = e.delta
+        # the street's box, widened by the disc radius plus the pad
+        if dx >= 0.0:
+            x_lo, x_hi = ux - reach, ux + dx + reach
+        else:
+            x_lo, x_hi = ux + dx - reach, ux + reach
+        if dy >= 0.0:
+            y_lo, y_hi = uy - reach, uy + dy + reach
+        else:
+            y_lo, y_hi = uy + dy - reach, uy + reach
         len2 = e.length * e.length
         raw: list[tuple[float, float]] = []
-        for oi in (-side, 0.0, side):
-            cx = center.x + oi
-            for oj in (-side, 0.0, side):
-                cy = center.y + oj
+        for cx in x_images:
+            if not x_lo <= cx <= x_hi:
+                continue
+            for cy in y_images:
+                if not y_lo <= cy <= y_hi:
+                    continue
                 # |u + t*delta - c|^2 <= radius^2, quadratic in t
                 fx = ux - cx
                 fy = uy - cy
@@ -369,6 +405,14 @@ def sample_destination_kappa_doubleprime(
     system within torus distance L_k of the home.  A degenerate radius
     returns the home itself; an empty restriction retries with the radius
     doubled (cannot occur once the disc reaches the home's own street).
+
+    Streets near the disc are found through ``g.street_grid()``, built on
+    the first call and cached on the graph.  The grid only skips streets and
+    torus images that cannot meet the disc, and the rest are visited in
+    ascending street id with the same float expressions as a walk over all
+    streets.  So the intervals, their total and the single
+    ``rng.uniform(0, total)`` draw are bitwise those of that walk, and so is
+    every destination.
     """
     if L_k < 0:
         raise ValueError("disc radius must be non-negative")
@@ -381,8 +425,9 @@ def sample_destination_kappa_doubleprime(
         if total > 0.0:
             pick = rng.uniform(0.0, total)
             acc = 0.0
-            for eid, lo, hi, measure in intervals:
-                if pick <= acc + measure or (eid, lo, hi, measure) == intervals[-1]:
+            last = len(intervals) - 1
+            for k, (eid, lo, hi, measure) in enumerate(intervals):
+                if pick <= acc + measure or k == last:
                     e = g.edges[eid]
                     t = lo + (pick - acc) / e.length
                     t = min(max(t, lo), hi)

@@ -48,6 +48,11 @@ __all__ = [
 # matching radius when identifying a wrapped Voronoi vertex with its image
 _MATCH_RADIUS = 1e-6
 
+# street boxes in the street grid, and the boxes of the discs queried
+# against it, are padded by this fraction of the torus side: far above the
+# rounding of the grid arithmetic, so no street a disc touches is missed
+STREET_GRID_PAD = 1e-6
+
 
 class DegenerateTessellation(Exception):
     """Raised when a sampled seed set produces a tessellation we reject."""
@@ -98,7 +103,7 @@ class VoronoiCell:
 class StreetGraph:
     """Street system on the torus: crossings, streets and Voronoi cells."""
 
-    __slots__ = ("L", "vertices", "edges", "cells", "_adjacency")
+    __slots__ = ("L", "vertices", "edges", "cells", "_adjacency", "_street_grid")
 
     def __init__(self, L, vertices, edges, cells):
         self.L = L
@@ -106,6 +111,7 @@ class StreetGraph:
         self.edges: dict[int, Street] = edges
         self.cells: dict[int, VoronoiCell] = cells
         self._adjacency = None
+        self._street_grid = None
 
     def adjacency(self) -> dict[int, list[tuple[int, float, int]]]:
         """vertex id -> sorted list of (neighbor vertex, length, street id)."""
@@ -118,6 +124,30 @@ class StreetGraph:
                 lst.sort()
             self._adjacency = adj
         return self._adjacency
+
+    def street_grid(self) -> "CellIndex":
+        """Regular torus grid listing, per square, the streets that may meet it.
+
+        There are floor(sqrt(#streets)) squares per side.  A street is listed,
+        in ascending id order, in every square (index modulo the grid) that
+        its unwrapped bounding box from ``u`` to ``u + delta``, padded by
+        ``STREET_GRID_PAD * 2L``, covers.  Built on first use and cached.
+        """
+        if self._street_grid is None:
+            side = 2.0 * self.L
+            dim = max(1, math.isqrt(len(self.edges)))
+            grid = CellIndex(self.L, dim, side / dim, [[] for _ in range(dim * dim)])
+            pad = STREET_GRID_PAD * side
+            for eid in sorted(self.edges):
+                e = self.edges[eid]
+                ux, uy = self.vertices[e.u]
+                dx, dy = e.delta
+                rows = grid.span(min(uy, uy + dy) - pad, max(uy, uy + dy) + pad)
+                for i in grid.span(min(ux, ux + dx) - pad, max(ux, ux + dx) + pad):
+                    for j in rows:
+                        grid.grid[i * dim + j].append(eid)
+            self._street_grid = grid
+        return self._street_grid
 
     def clear_devices(self) -> None:
         for e in self.edges.values():
@@ -367,12 +397,13 @@ def generate_pvt(
 
 @dataclass(slots=True)
 class CellIndex:
-    """Regular grid over the torus listing candidate Voronoi cells per square.
+    """Regular grid over the torus listing candidate ids per square.
 
     Grid squares tile [-L, L)^2 exactly (the requested cell size is rounded
-    so the grid divides 2L); every square lists all cells whose closure can
-    intersect it, so a point's true containing cell is always among the
-    candidates of its square.
+    so the grid divides 2L).  ``build_cell_index`` lists in every square all
+    Voronoi cells whose closure can intersect it, so a point's true
+    containing cell is always among the candidates of its square;
+    ``StreetGraph.street_grid`` lists streets the same way.
     """
 
     L: float
@@ -387,6 +418,18 @@ class CellIndex:
         i = min(max(i, 0), self.dim - 1)
         j = min(max(j, 0), self.dim - 1)
         return self.grid[i * self.dim + j]
+
+    def span(self, lo: float, hi: float) -> range | list[int]:
+        """Indices, modulo the grid, of the squares [lo, hi] covers on one axis.
+
+        ``lo`` and ``hi`` are unwrapped coordinates; a span of the whole
+        torus or more is ``range(dim)``.
+        """
+        i0 = math.floor((lo + self.L) / self.size)
+        i1 = math.floor((hi + self.L) / self.size)
+        if i1 - i0 >= self.dim - 1:
+            return range(self.dim)
+        return [i % self.dim for i in range(i0, i1 + 1)]
 
 
 def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellIndex:

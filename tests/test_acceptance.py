@@ -157,11 +157,13 @@ def test_criterion_2_engine_matches_discrete_reference():
                 mismatches += 1
                 print(f"    mismatch at instance seed {seed}: "
                       f"engine {sorted(engine_graph.edges)} oracle {sorted(oracle.edges)}")
-            # convergence: symmetric difference non-increasing in eps
+            # convergence: symmetric difference non-increasing in eps; the
+            # eps = 0.01 entry is the strict run above (strict only validates)
             diffs = []
-            for eps in (1.0, 0.1, 0.01):
+            for eps in (1.0, 0.1):
                 og = simulate_discrete(g, devices, DiscreteConfig(eps, T, r, rho), strict=False)
                 diffs.append(len(engine_graph.edges ^ og.edges))
+            diffs.append(len(engine_graph.edges ^ oracle.edges))
             assert all(b <= a for a, b in zip(diffs, diffs[1:])), \
                 f"seed {seed}: symmetric difference not non-increasing: {diffs}"
         assert mismatches == 0, f"{mismatches} of {checked} instances disagreed at eps=0.01"

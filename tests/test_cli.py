@@ -158,6 +158,16 @@ class TestRun:
             "history-seed1.csv": "fbe3185e1a1968b22ac9b1ca80249029d89976a235c6d816b1d8187436af4e65",
         }
 
+    def test_golden_bytes_kappa_doubleprime(self, tmp_path):
+        # pins the sweep CSV of a small kappa'' run, so a change to the disc
+        # sampler that moves any waypoint shows here
+        cfg = base_config(torus_side_m=600.0, kernel={"kappa_doubleprime": {"L_m": 100.0}},
+                          seeds=[1])
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "kpp")]) == 0
+        digest = hashlib.sha256((tmp_path / "kpp" / "out.csv").read_bytes()).hexdigest()
+        assert digest == "b56cd035bb9c9dab3f638d2ab78c3f42675eebd24d34be0aa39831dcffd7f072"
+
     @pytest.mark.parametrize("jobs, n_seeds, cpus, expected", [
         (64, 5, 3, 3),     # clamped to the CPU count
         (64, 2, 8, 2),     # clamped to the seed count
@@ -308,3 +318,19 @@ class TestGenStreetsAndThin:
 
     def test_thin_rejects_missing_graph(self, tmp_path):
         assert main(["thin", str(tmp_path / "nope.json"), "--a", "1", "--b", "1"]) == 2
+
+    @pytest.mark.parametrize("a, b", [("-5", "10"), ("nan", "10"), ("30", "-1"), ("30", "inf")])
+    def test_thin_rejects_bad_thresholds(self, tmp_path, capsys, a, b):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", path, "--out", str(graph_path)])
+        capsys.readouterr()
+        assert main(["thin", str(graph_path), "--a", a, "--b", b]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+
+    def test_thin_rejects_graph_that_is_not_an_object(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text("[1, 2]")
+        assert main(["thin", str(graph_path), "--a", "1", "--b", "1"]) == 2
+        assert "config error: cannot read graph" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from streetsim import mobility
 from streetsim.mobility import (
     Device,
     DiracVelocity,
@@ -12,6 +13,7 @@ from streetsim.mobility import (
     PositiveNormalVelocity,
     RuntimeInvariantError,
     TwoPointVelocity,
+    _disc_street_intervals,
     assign_commute,
     coords,
     position_at,
@@ -22,7 +24,7 @@ from streetsim.mobility import (
     shortest_path,
 )
 from streetsim.streets import StreetPosition, build_cell_index, generate_pvt, total_street_length
-from streetsim.torus import torus_distance
+from streetsim.torus import TorusPoint, torus_distance
 
 from conftest import make_graph
 
@@ -146,6 +148,106 @@ class TestKappaDoublePrime:
         for _ in range(300):
             dest = sample_destination_kappa_doubleprime(home, 120.0, g, rng)
             assert torus_distance(hc, coords(dest, g), g.L) <= 120.0 + 1e-6
+
+
+def brute_force_disc_street_intervals(g, center, radius):
+    """Oracle: solve the disc quadratic for every street in all nine images."""
+    side = 2.0 * g.L
+    out = []
+    total = 0.0
+    for eid in sorted(g.edges):
+        e = g.edges[eid]
+        ux, uy = g.vertices[e.u]
+        dx, dy = e.delta
+        len2 = e.length * e.length
+        raw = []
+        for oi in (-side, 0.0, side):
+            cx = center.x + oi
+            for oj in (-side, 0.0, side):
+                cy = center.y + oj
+                fx = ux - cx
+                fy = uy - cy
+                b = 2.0 * (fx * dx + fy * dy)
+                c0 = fx * fx + fy * fy - radius * radius
+                disc = b * b - 4.0 * len2 * c0
+                if disc < 0.0:
+                    continue
+                sq = math.sqrt(disc)
+                t0 = (-b - sq) / (2.0 * len2)
+                t1 = (-b + sq) / (2.0 * len2)
+                lo, hi = max(t0, 0.0), min(t1, 1.0)
+                if hi > lo:
+                    raw.append((lo, hi))
+        if not raw:
+            continue
+        raw.sort()
+        merged = [raw[0]]
+        for lo, hi in raw[1:]:
+            if lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        for lo, hi in merged:
+            measure = (hi - lo) * e.length
+            out.append((eid, lo, hi, measure))
+            total += measure
+    return out, total
+
+
+class TestDiscStreetIntervals:
+    """The street-grid sampler returns exactly what the brute-force walk does."""
+
+    RADII = (1.0, 10.0, 60.0, 150.0, 299.0, 300.0, 450.0, 650.0)  # L = 300: up to > 2L
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_brute_force_on_pvt(self, seed):
+        rng = np.random.default_rng(seed)
+        g = generate_pvt(300.0, rng, street_intensity=20.0)
+        assert g.street_grid().dim > 2
+        centers = [TorusPoint(*rng.uniform(-g.L, g.L, 2)) for _ in range(25)]
+        centers += [TorusPoint(-g.L, -g.L), TorusPoint(-g.L, 0.0)]
+        centers += [coords(StreetPosition(e.id, e.u, e.v, 0.5), g) for e in g.edges.values()][:20]
+        for c in centers:
+            for radius in self.RADII:
+                assert (_disc_street_intervals(g, c, radius)
+                        == brute_force_disc_street_intervals(g, c, radius)), (c, radius)
+
+    def test_street_leaving_the_fundamental_square(self):
+        # u + delta lies beyond x = L; its wrapped part sits near x = -L
+        g = make_graph(500.0, {0: (470.0, 10.0), 1: (-480.0, -25.0), 2: (0.0, 0.0),
+                               3: (30.0, 40.0)}, [(0, 1), (2, 3)])
+        assert g.vertices[0].x + g.edges[0].delta[0] > g.L
+        for c in (TorusPoint(-495.0, -20.0), TorusPoint(495.0, 0.0), TorusPoint(-499.0, 499.0)):
+            for radius in (1.0, 8.0, 20.0, 40.0, 600.0, 1100.0):
+                got = _disc_street_intervals(g, c, radius)
+                assert got == brute_force_disc_street_intervals(g, c, radius), (c, radius)
+        assert _disc_street_intervals(g, TorusPoint(-495.0, -20.0), 20.0)[1] > 0.0
+
+    @pytest.mark.parametrize("n_seeds", [None, 4])
+    def test_tiny_graphs(self, rng, n_seeds):
+        if n_seeds is None:  # two hand-built streets and no cells: a 1x1 grid
+            g = make_graph(200.0, {0: (-40.0, 0.0), 1: (40.0, 0.0), 2: (-190.0, 150.0),
+                                   3: (170.0, 160.0)}, [(0, 1), (2, 3)])
+        else:
+            g = generate_pvt(200.0, rng, seed_count=n_seeds)
+        for _ in range(30):
+            c = TorusPoint(*rng.uniform(-g.L, g.L, 2))
+            for radius in (1.0, 25.0, 120.0, 450.0):
+                assert (_disc_street_intervals(g, c, radius)
+                        == brute_force_disc_street_intervals(g, c, radius)), (c, radius)
+
+    def test_draw_sequence_unchanged(self, monkeypatch):
+        g = generate_pvt(300.0, np.random.default_rng(5), street_intensity=20.0)
+        homes = [StreetPosition(e.id, e.u, e.v, 0.25) for e in g.edges.values()][::7]
+
+        def draws():
+            rng = np.random.default_rng(99)
+            return [sample_destination_kappa_doubleprime(h, L_k, g, rng)
+                    for h in homes for L_k in (0.5, 100.0, 300.0, 700.0)]
+
+        gridded = draws()
+        monkeypatch.setattr(mobility, "_disc_street_intervals", brute_force_disc_street_intervals)
+        assert gridded == draws()
 
 
 def nx_oracle_graph(g, positions):
