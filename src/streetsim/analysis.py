@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import csv
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .config import build_seed_state
 from .engine import ConnectionGraph, derived_connection_graph, initialize, run
 from .mobility import coords
 from .streets import Street, StreetGraph, VoronoiCell
-from .torus import min_image_delta
 
 __all__ = [
     "largest_cluster_fraction",
@@ -72,27 +73,64 @@ def connection_graph_wraps(cg: ConnectionGraph, anchors, g: StreetGraph) -> bool
     """Whether some connection cluster closes a loop around the torus.
 
     Finite-volume heuristic: devices are anchored at their home coordinates
-    (``anchors`` maps each device id with an edge to its home's ``(x, y)``,
-    as :func:`home_anchors` builds it) and each edge carries the
-    minimal-image displacement between homes; a cycle whose displacements do
-    not cancel wraps the torus.
+    (``anchors[i]`` is device i's home ``(x, y)``, as :func:`home_anchors`
+    builds it) and each edge carries the minimal-image displacement between
+    homes; a cycle whose displacements do not cancel wraps the torus.
+
+    Potentials are summed along a spanning forest of the edges; the graph
+    wraps iff some edge disagrees with them by more than half the torus
+    side.  A cycle's displacements add up to a multiple of the side, so the
+    choice of forest does not matter and the answer is that of
+    :func:`_has_winding_cycle` on the same displacements.
     """
     if not cg.edges:
         return False
-    adj: dict[int, list[tuple[int, float, float]]] = {v: [] for v in cg.vertices}
-    for i, j in cg.edges:
-        dx, dy = min_image_delta(anchors[i], anchors[j], g.L)
-        adj[i].append((j, dx, dy))
-        adj[j].append((i, -dx, -dy))
-    return _has_winding_cycle(cg.vertices, adj, g.L)
+    L = g.L
+    m = len(cg.edges)
+    n = len(anchors)
+    ends = np.fromiter(chain.from_iterable(cg.edges), np.intp, count=2 * m).reshape(m, 2)
+    ends.sort(axis=1)  # displacements run from the lower id to the higher
+    lo, hi = ends[:, 0], ends[:, 1]
+    disp = _min_image(anchors[hi] - anchors[lo], L)
+    # one BFS from a virtual vertex n joined to the first vertex of each component
+    _, label = connected_components(coo_matrix((np.ones(m), (lo, hi)), shape=(n, n)),
+                                    directed=False)
+    firsts = np.unique(label, return_index=True)[1]
+    k = len(firsts)
+    forest = coo_matrix((np.ones(m + k), (np.concatenate([lo, np.full(k, n)]),
+                                          np.concatenate([hi, firsts]))), shape=(n + 1, n + 1))
+    _, up = breadth_first_order(forest.tocsr(), n, directed=False, return_predecessors=True)
+    up[n] = n
+    # pot[v] is v's potential minus that of up[v], the step along its tree
+    # edge (zero at a component's first vertex); pointer jumping sums the
+    # steps up to the virtual root
+    v = np.arange(n)
+    p = up[:n].copy()
+    p[firsts] = firsts
+    step = _min_image(anchors[np.maximum(p, v)] - anchors[np.minimum(p, v)], L)
+    pot = np.zeros((n + 1, 2))
+    pot[:n] = np.where((p < v)[:, None], step, -step)
+    while (up != n).any():
+        pot += pot[up]
+        up = up[up]
+    return bool((np.abs(pot[lo] + disp - pot[hi]) > L).any())
 
 
-def home_anchors(devices_by_id, g: StreetGraph) -> dict[int, tuple[float, float]]:
-    """Home coordinates of every device, the anchors of :func:`connection_graph_wraps`.
+def _min_image(d: np.ndarray, L: float) -> np.ndarray:
+    """Elementwise :func:`~streetsim.torus.min_image_delta` of canonical-point differences."""
+    return np.where(d < -L, d + 2.0 * L, np.where(d >= L, d - 2.0 * L, d))
 
-    Homes do not move, so a sweep computes them once per seed.
+
+def home_anchors(devices_by_id, g: StreetGraph) -> np.ndarray:
+    """Home coordinates by device id, the anchors of :func:`connection_graph_wraps`.
+
+    Row i is device i's home ``(x, y)``; rows of ids without a device are
+    NaN.  Homes do not move, so a sweep computes them once per seed.
     """
-    return {did: tuple(coords(d.home, g)) for did, d in devices_by_id.items()}
+    anchors = np.full((max(devices_by_id, default=-1) + 1, 2), np.nan)
+    for did, d in devices_by_id.items():
+        anchors[did] = tuple(coords(d.home, g))
+    return anchors
 
 
 def _has_winding_cycle(vertices, adj, L: float) -> bool:
@@ -275,7 +313,7 @@ class SweepResult:
         self.rows.sort(key=lambda r: (r.seed, r.scale_a, r.T_s))
 
 
-def velocity_sweep(config) -> SweepResult:
+def velocity_sweep(config, side_outputs=None) -> SweepResult:
     """Run the experiment of an :class:`~streetsim.config.ExperimentConfig`.
 
     Per seed the movement is simulated once, at the configured base velocity
@@ -284,44 +322,40 @@ def velocity_sweep(config) -> SweepResult:
     (a*T, a*rho): scaling all velocities by a is equivalent to stretching
     horizon and connection time by a on the same movement.  Rows for scale a
     equal a direct simulation with velocities scaled by a.
+
+    ``side_outputs(seed, state)``, when given, returns a context manager
+    that each seed's simulation runs inside, for writing that run's trace
+    and history.
     """
     result = SweepResult()
     for seed in config.seeds:
-        result.rows.extend(_sweep_one_seed(config, seed))
+        result.rows.extend(_sweep_one_seed(config, seed, side_outputs))
     result.sort()
     return result
 
 
-def _sweep_one_seed(config, seed: int) -> list[SweepRow]:
+def _sweep_one_seed(config, seed: int, side_outputs=None) -> list[SweepRow]:
     g, devices, dist = build_seed_state(config, seed)
-    lam_per_m = config.lambda_per_km / 1000.0
     scales = config.sweep.values if config.sweep is not None else [1.0]
     horizons = config.T_s
-    rows: list[SweepRow] = []
-    if not devices:
-        for a in scales:
-            for T in horizons:
-                rows.append(SweepRow(
-                    seed=seed, scale_a=a, velocity_mean_mps=dist.scaled(a).mean(),
-                    T_s=T, rho_s=config.rho_s, r_m=config.r_m,
-                    lambda_per_m=lam_per_m, n_devices=0,
-                    largest_fraction=None, wraps=False,
-                ))
-        return rows
-    base_T = max(scales) * max(horizons)
-    state = initialize(g, devices, r=config.r_m, rho=config.rho_s, T=base_T,
-                       record_history=True)
-    run(state)
+    state = initialize(g, devices, r=config.r_m, rho=config.rho_s,
+                       T=max(scales) * max(horizons), record_history=True)
+    with side_outputs(seed, state) if side_outputs is not None else nullcontext():
+        run(state)
     anchors = home_anchors(state.devices, g)
+    rows: list[SweepRow] = []
     for a in scales:
         for T in horizons:
-            cg = derived_connection_graph(state, a * T, a * config.rho_s)
+            if devices:
+                cg = derived_connection_graph(state, a * T, a * config.rho_s)
+                largest, wraps = largest_cluster_fraction(cg), connection_graph_wraps(cg, anchors, g)
+            else:
+                largest, wraps = None, False
             rows.append(SweepRow(
                 seed=seed, scale_a=a, velocity_mean_mps=dist.scaled(a).mean(),
                 T_s=T, rho_s=config.rho_s, r_m=config.r_m,
-                lambda_per_m=lam_per_m, n_devices=len(devices),
-                largest_fraction=largest_cluster_fraction(cg),
-                wraps=connection_graph_wraps(cg, anchors, g),
+                lambda_per_m=config.lambda_per_km / 1000.0, n_devices=len(devices),
+                largest_fraction=largest, wraps=wraps,
             ))
     return rows
 

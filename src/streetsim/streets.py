@@ -181,6 +181,8 @@ class StreetGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StreetGraph":
         L = float(data["L"])
+        if not (math.isfinite(L) and L > 0.0):
+            raise ValueError(f"torus half-side L must be finite and positive, got {L}")
         vertices = {int(v["id"]): TorusPoint(float(v["x"]), float(v["y"])) for v in data["vertices"]}
         # invert the cell -> edges mapping to recover per-edge cell pairs
         edge_cells: dict[int, list[int]] = {}

@@ -3,8 +3,10 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streetsim.analysis import (
+    _has_winding_cycle,
     aux_largest_component,
     cluster_size_histogram,
     connection_graph_wraps,
@@ -17,6 +19,7 @@ from streetsim.analysis import (
 from streetsim.config import parse_config
 from streetsim.engine import ConnectionGraph
 from streetsim.streets import generate_pvt
+from streetsim.torus import min_image_delta
 
 from conftest import make_graph
 
@@ -308,3 +311,42 @@ class TestConnectionWraps:
     def test_no_edges_no_wrap(self, single_street_graph):
         cg = ConnectionGraph((0, 1), frozenset())
         assert connection_graph_wraps(cg, {}, single_street_graph) is False
+
+    @staticmethod
+    def bfs_wraps(cg, anchors, L):
+        """The per-point BFS over minimal-image displacements, as the oracle."""
+        adj = {v: [] for v in cg.vertices}
+        for i, j in cg.edges:
+            dx, dy = min_image_delta(anchors[i], anchors[j], L)
+            adj[i].append((j, dx, dy))
+            adj[j].append((i, -dx, -dy))
+        return _has_winding_cycle(cg.vertices, adj, L)
+
+    def test_ring_around_the_torus_wraps(self):
+        g = make_graph(100.0, {0: (0.0, 0.0), 1: (10.0, 0.0)}, [(0, 1)])
+        xs = [-100.0, -60.0, -20.0, 20.0, 60.0]
+        anchors = np.array([(x, 5.0) for x in xs])
+        ring = ConnectionGraph(tuple(range(5)), frozenset((k, k + 1) for k in range(4)) | {(0, 4)})
+        assert connection_graph_wraps(ring, anchors, g) is True
+        chain = ConnectionGraph(tuple(range(5)), frozenset((k, k + 1) for k in range(4)))
+        assert connection_graph_wraps(chain, anchors, g) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 24), on_grid=st.booleans())
+    def test_matches_bfs_on_random_graphs(self, data, n, on_grid):
+        # grid anchors put homes exactly half a side apart, the tie case of
+        # the minimal image
+        L = 100.0
+        g = make_graph(L, {0: (0.0, 0.0), 1: (10.0, 0.0)}, [(0, 1)])
+        if on_grid:
+            coord = st.sampled_from([-L, -L / 2, 0.0, L / 2])
+        else:
+            coord = st.floats(-L, L, exclude_max=True, allow_nan=False)
+        ids = data.draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
+        anchors = np.full((max(ids) + 1, 2), np.nan)
+        for v in ids:
+            anchors[v] = (data.draw(coord), data.draw(coord))
+        pairs = [(i, j) for i in sorted(ids) for j in sorted(ids) if i < j]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True))
+        cg = ConnectionGraph(tuple(sorted(ids)), frozenset(edges))
+        assert connection_graph_wraps(cg, anchors, g) is self.bfs_wraps(cg, anchors, L)

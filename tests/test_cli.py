@@ -99,14 +99,23 @@ class TestRun:
         b2 = (out2 / "out.csv").read_bytes()
         assert b1 == b2
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        cfg = base_config()
+    def test_jobs_parallel_matches_serial(self, tmp_path, monkeypatch):
+        # pool workers write their own seeds' trace and history files
+        import streetsim.cli as cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg = base_config(outputs={"csv_path": "out.csv", "trace": True, "history": True})
         path = write_config(tmp_path, cfg)
         out1 = tmp_path / "serial"
         out2 = tmp_path / "par"
         assert main(["run", path, "--out", str(out1)]) == 0
         assert main(["run", path, "--out", str(out2), "--jobs", "2"]) == 0
-        assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == ["history-seed1.csv", "history-seed2.csv", "out.csv",
+                         "trace-seed1.jsonl", "trace-seed2.jsonl"]
+        assert sorted(p.name for p in out2.iterdir()) == names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_zero_intensity_rows_empty_fraction(self, tmp_path):
         cfg = base_config(lambda_per_km=0.0, seeds=[1])
@@ -207,7 +216,7 @@ class TestRun:
         import streetsim.cli as cli
         from streetsim.mobility import RuntimeInvariantError
 
-        def boom(cfg):
+        def boom(cfg, side_outputs=None):
             raise RuntimeInvariantError("synthetic")
 
         monkeypatch.setattr(cli, "velocity_sweep", boom)
@@ -215,9 +224,10 @@ class TestRun:
         assert main(["run", path, "--out", str(tmp_path / "x")]) == 3
 
     def test_trace_file_closed_on_runtime_breach(self, tmp_path, monkeypatch):
-        # the side-output simulation fails at its first turn-around: exit 3,
-        # and the trace file it was writing is closed and holds the events
-        # that fired before the failure
+        # the sweep's simulation fails at its first turn-around: exit 3, and
+        # the trace file it was writing is closed and holds the events that
+        # fired before the failure
+        import streetsim.analysis as analysis
         import streetsim.cli as cli
         from streetsim.engine import EventKind, run
         from streetsim.mobility import RuntimeInvariantError
@@ -241,7 +251,7 @@ class TestRun:
             return run(state)
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
-        monkeypatch.setattr(cli, "run", failing_run)
+        monkeypatch.setattr(analysis, "run", failing_run)
         cfg = base_config(seeds=[1], outputs={"csv_path": "out.csv", "trace": True})
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
@@ -249,6 +259,74 @@ class TestRun:
         assert len(traces) == 1 and traces[0].closed
         lines = (out / "trace-seed1.jsonl").read_text().splitlines()
         assert lines and json.loads(lines[-1])["kind"] == int(EventKind.REACH_DESTINATION)
+
+
+class TestSideOutputs:
+    """Trace and history files come from the sweep's one simulation per seed."""
+
+    SIDE = {"csv_path": "out.csv", "trace": True, "history": True}
+
+    def test_one_simulation_per_seed(self, tmp_path, monkeypatch):
+        import streetsim.analysis as analysis
+        import streetsim.cli as cli
+        import streetsim.config as config
+        import streetsim.engine as engine
+
+        calls = {"build_seed_state": [], "run": []}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[1] if name == "build_seed_state" else None)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # counted wherever the CLI or the sweep could call them from
+        for name, fn in (("build_seed_state", config.build_seed_state), ("run", engine.run)):
+            for mod in (analysis, cli):
+                monkeypatch.setattr(mod, name, counting(name, fn), raising=False)
+        cfg = base_config(seeds=[1, 2], outputs=self.SIDE)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert calls["build_seed_state"] == [1, 2]
+        assert len(calls["run"]) == 2
+        for name in ("trace-seed1.jsonl", "history-seed1.csv",
+                     "trace-seed2.jsonl", "history-seed2.csv"):
+            assert (out / name).is_file()
+
+    def test_existing_trace_hook_is_chained(self, tmp_path, monkeypatch):
+        import streetsim.analysis as analysis
+
+        cfg = base_config(seeds=[1], outputs=self.SIDE)
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "plain")]) == 0
+
+        seen = []
+        initialize = analysis.initialize
+
+        def initialize_with_hook(*args, **kwargs):
+            state = initialize(*args, **kwargs)
+            state.trace = lambda ev, st: seen.append(ev)
+            return state
+
+        monkeypatch.setattr(analysis, "initialize", initialize_with_hook)
+        assert main(["run", path, "--out", str(tmp_path / "hooked")]) == 0
+        trace = (tmp_path / "hooked" / "trace-seed1.jsonl").read_bytes()
+        assert trace == (tmp_path / "plain" / "trace-seed1.jsonl").read_bytes()
+        lines = trace.decode().splitlines()
+        assert len(seen) == len(lines)
+        assert [(ev.time, int(ev.kind)) for ev in seen] == \
+            [(json.loads(line)["t"], json.loads(line)["kind"]) for line in lines]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_trace_file_exits_2(self, tmp_path, monkeypatch, capsys, jobs):
+        import streetsim.cli as cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = tmp_path / "out"
+        (out / "trace-seed1.jsonl").mkdir(parents=True)
+        cfg = base_config(seeds=[1, 2], outputs=self.SIDE)
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestOutputPaths:
@@ -334,3 +412,17 @@ class TestGenStreetsAndThin:
         graph_path.write_text("[1, 2]")
         assert main(["thin", str(graph_path), "--a", "1", "--b", "1"]) == 2
         assert "config error: cannot read graph" in capsys.readouterr().err
+
+    def test_thin_rejects_non_finite_torus_size(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", path, "--out", str(graph_path)])
+        capsys.readouterr()
+        for L in ("NaN", "Infinity", "0.0", "-350.0"):
+            data = json.loads(graph_path.read_text())
+            data["L"] = float(L)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(data))
+            assert main(["thin", str(bad), "--a", "1", "--b", "5"]) == 2
+            captured = capsys.readouterr()
+            assert "config error: cannot read graph" in captured.err and captured.out == ""
