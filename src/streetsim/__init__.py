@@ -47,7 +47,7 @@ from .streets import (
     build_cell_index,
     calibrate_seed_intensity,
     generate_pvt,
-    project_to_street,
+    project_to_streets,
     total_street_length,
 )
 from .torus import TorusPoint, boundary_crossing_points, torus_distance, wrap

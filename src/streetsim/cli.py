@@ -60,12 +60,15 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _load_valid_config(path) -> ExperimentConfig:
-    cfg = load_config(path)
+def _valid(cfg: ExperimentConfig) -> ExperimentConfig:
     violations = validate_config(cfg)
     if violations:
         raise ConfigError("; ".join(violations))
     return cfg
+
+
+def _load_valid_config(path) -> ExperimentConfig:
+    return _valid(load_config(path))
 
 
 @contextlib.contextmanager
@@ -105,11 +108,12 @@ def _emit_side_outputs(cfg: ExperimentConfig, out_dir: FsPath, seed: int, state)
 def _cmd_run(args) -> int:
     try:
         cfg = _load_valid_config(args.config)
+        if args.seed_offset:
+            cfg = _valid(dataclasses.replace(
+                cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed_offset:
-        cfg = dataclasses.replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = FsPath(args.out) if args.out else FsPath(".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

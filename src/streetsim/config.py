@@ -151,9 +151,12 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def _seed(s) -> int:
     try:
-        return operator.index(s)
+        seed = operator.index(s)
     except TypeError:
         raise ConfigError(f"seeds: {s!r} is not an integer") from None
+    if seed < 0:
+        raise ConfigError(f"seeds: {seed} is negative")
+    return seed
 
 
 def load_config(path) -> ExperimentConfig:
@@ -204,6 +207,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append("kernel: kernel radius < torus_side/4 required")
     if not cfg.seeds:
         v.append("seeds: at least one seed required")
+    elif min(cfg.seeds) < 0:
+        v.append("seeds: must be non-negative")
     if cfg.sweep is not None:
         if cfg.sweep.parameter != "velocity_scale":
             v.append("sweep.parameter: only 'velocity_scale' is supported")
@@ -231,7 +236,11 @@ def build_seed_state(cfg: ExperimentConfig, seed: int):
     """Geometry plus fully initialized devices for one experiment seed.
 
     Returns (graph, devices, velocity distribution).  Devices carry sampled
-    destinations, velocities and shortest paths.
+    destinations, velocities and shortest paths.  The waypoint kernel runs
+    once, on every device's home, from the ``waypoints`` stream; then each
+    device draws its velocity from the ``velocities`` stream and gets its
+    path.  The kernels draw the same numbers in the same order as one call
+    per device would, so the destinations are those of such a loop.
     """
     streams = rng_streams(seed)
     g = generate_pvt(
@@ -239,13 +248,14 @@ def build_seed_state(cfg: ExperimentConfig, seed: int):
     )
     idx = build_cell_index(g)
     devices = sample_devices(g, cfg.lambda_per_km / 1000.0, streams["placement"])
-    for d in devices:
-        if cfg.kernel.kind == "kappa_prime":
-            dest = sample_destination_kappa_prime(d.home, cfg.kernel.radius_m, g, idx,
-                                                  streams["waypoints"])
-        else:
-            dest = sample_destination_kappa_doubleprime(d.home, cfg.kernel.radius_m, g,
-                                                        streams["waypoints"])
+    homes = [d.home for d in devices]
+    if cfg.kernel.kind == "kappa_prime":
+        dests = sample_destination_kappa_prime(homes, cfg.kernel.radius_m, g, idx,
+                                               streams["waypoints"])
+    else:
+        dests = sample_destination_kappa_doubleprime(homes, cfg.kernel.radius_m, g,
+                                                     streams["waypoints"])
+    for d, dest in zip(devices, dests):
         vel = sample_velocity(cfg.velocity, streams["velocities"])
         assign_commute(d, dest, vel, g)
     return g, devices, cfg.velocity

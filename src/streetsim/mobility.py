@@ -9,12 +9,21 @@ sampling waypoints; movement and contact checks work entirely on fractions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .streets import STREET_GRID_PAD, CellIndex, StreetGraph, StreetPosition, project_to_street
+from .streets import (
+    KERNEL_BATCH_ELEMENTS,
+    STREET_GRID_PAD,
+    CellIndex,
+    StreetArrays,
+    StreetGraph,
+    StreetPosition,
+    project_to_streets,
+)
 from .torus import TorusPoint, wrap
 
 __all__ = [
@@ -290,151 +299,211 @@ def sample_devices(g: StreetGraph, lam: float, rng: np.random.Generator) -> list
 
 
 def sample_destination_kappa_prime(
-    home: StreetPosition,
+    homes: Sequence[StreetPosition],
     R: float,
     g: StreetGraph,
     idx: CellIndex,
     rng: np.random.Generator,
-) -> StreetPosition:
+) -> list[StreetPosition]:
     """Waypoint kernel: uniform point in the disk of radius R, projected.
 
-    Draws a uniform point in the disk of radius R around the home coordinates
-    (via polar coordinates), wraps it onto the torus and projects it to the
-    closest point of the street system.
+    For each home, draws a uniform point in the disk of radius R around the
+    home coordinates (via polar coordinates), wraps it onto the torus and
+    projects it to the closest point of the street system.  The (u1, u2)
+    pairs of all homes come from one ``rng.uniform(size=(n, 2))`` call, the
+    same numbers in the same order as two scalar draws per home; the
+    projection is batched by ``project_to_streets``.
     """
     if not 0 < R < g.L:
         raise ValueError(f"kernel radius must be in (0, L); got R={R}, L={g.L}")
-    c = coords(home, g)
-    u1 = rng.uniform()
-    u2 = rng.uniform()
-    rad = math.sqrt(u1) * R
-    d = (c.x + rad * math.sin(2.0 * math.pi * u2), c.y + rad * math.cos(2.0 * math.pi * u2))
-    return project_to_street(wrap(d, g.L), g, idx)
+    points = []
+    for home, (u1, u2) in zip(homes, rng.uniform(size=(len(homes), 2)).tolist()):
+        c = coords(home, g)
+        rad = math.sqrt(u1) * R
+        points.append(wrap((c.x + rad * math.sin(2.0 * math.pi * u2),
+                            c.y + rad * math.cos(2.0 * math.pi * u2)), g.L))
+    return project_to_streets(points, g, idx)
 
 
-def _disc_street_intervals(g: StreetGraph, center: TorusPoint, radius: float):
-    """Per street, the sub-intervals of the fraction parameter inside the disc.
+def _disc_intervals(arr: StreetArrays, rows: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                    radius: float, side: float):
+    """The street intervals inside the disc of every centre, as arrays.
 
-    Only streets listed in the street-grid squares that the disc's padded
-    box covers are visited, in ascending id, and for each only the torus
-    images of the disc whose box comes within the pad of the street's box.
-    A skipped street or image cannot yield an interval, so the result is
-    the one a walk over every street and all nine images gives.
+    Tests each centre against each candidate street row in all nine torus
+    images: first the street's box widened by the radius plus the grid pad,
+    then the disc quadratic.  Returns (centre, row, lo, hi) with one entry
+    per interval, sorted by centre, then street, then interval.  The floats
+    are those of a walk over every street and image, one disc at a time
+    (``tests/test_mobility.py`` keeps it as the oracle): the same expressions
+    in the same order, ``max``/``min`` written as ``where`` so that the sign
+    of zero is kept, and a street that several images meet sorted and merged
+    in Python.
     """
-    side = 2.0 * g.L
-    pad = STREET_GRID_PAD * side
-    reach = radius + pad
-    grid = g.street_grid()
-    cols = grid.span(center.x - reach, center.x + reach)
-    rows = grid.span(center.y - reach, center.y + reach)
-    if len(cols) == grid.dim and len(rows) == grid.dim:
-        candidates = sorted(g.edges)
-    else:
-        found: set[int] = set()
-        for i in cols:
-            for j in rows:
-                found.update(grid.grid[i * grid.dim + j])
-        candidates = sorted(found)
-    # centre images c + o: the same floats as in a walk over all nine images
-    x_images = [center.x + oi for oi in (-side, 0.0, side)]
-    y_images = [center.y + oj for oj in (-side, 0.0, side)]
-    out = []
-    total = 0.0
-    for eid in candidates:
-        e = g.edges[eid]
-        u = g.vertices[e.u]
-        ux = u.x
-        uy = u.y
-        dx, dy = e.delta
-        # the street's box, widened by the disc radius plus the pad
-        if dx >= 0.0:
-            x_lo, x_hi = ux - reach, ux + dx + reach
-        else:
-            x_lo, x_hi = ux + dx - reach, ux + reach
-        if dy >= 0.0:
-            y_lo, y_hi = uy - reach, uy + dy + reach
-        else:
-            y_lo, y_hi = uy + dy - reach, uy + reach
-        len2 = e.length * e.length
-        raw: list[tuple[float, float]] = []
-        for cx in x_images:
-            if not x_lo <= cx <= x_hi:
+    reach = radius + STREET_GRID_PAD * side
+    offsets = np.array([-side, 0.0, side])
+    xs = cx[:, None] + offsets
+    ys = cy[:, None] + offsets
+    x_in = ((arr.xmin[rows] - reach)[None, :, None] <= xs[:, None, :]) \
+        & (xs[:, None, :] <= (arr.xmax[rows] + reach)[None, :, None])
+    y_in = ((arr.ymin[rows] - reach)[None, :, None] <= ys[:, None, :]) \
+        & (ys[:, None, :] <= (arr.ymax[rows] + reach)[None, :, None])
+    c, k, i, j = np.nonzero(x_in[:, :, :, None] & y_in[:, :, None, :])
+    r = rows[k]
+    ux = arr.ux[r]
+    uy = arr.uy[r]
+    dx = arr.dx[r]
+    dy = arr.dy[r]
+    length = arr.length[r]
+    len2 = length * length
+    # |u + t*delta - c|^2 <= radius^2, quadratic in t
+    fx = ux - xs[c, i]
+    fy = uy - ys[c, j]
+    b = 2.0 * (fx * dx + fy * dy)
+    c0 = fx * fx + fy * fy - radius * radius
+    disc = b * b - 4.0 * len2 * c0
+    hit = disc >= 0.0
+    sq = np.sqrt(disc[hit])
+    b = b[hit]
+    len2 = len2[hit]
+    t0 = (-b - sq) / (2.0 * len2)
+    t1 = (-b + sq) / (2.0 * len2)
+    lo = np.where(0.0 > t0, 0.0, t0)
+    hi = np.where(1.0 < t1, 1.0, t1)
+    keep = hi > lo
+    c = c[hit][keep]
+    r = r[hit][keep]
+    lo = lo[keep]
+    hi = hi[keep]
+    key = c * len(rows) + k[hit][keep]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    if starts.size < key.size:
+        # several images meet one street: sort and merge their intervals
+        drop = np.zeros(key.size, dtype=bool)
+        for a, e in zip(starts.tolist(), np.r_[starts[1:], key.size].tolist()):
+            if e - a == 1:
                 continue
-            for cy in y_images:
-                if not y_lo <= cy <= y_hi:
-                    continue
-                # |u + t*delta - c|^2 <= radius^2, quadratic in t
-                fx = ux - cx
-                fy = uy - cy
-                b = 2.0 * (fx * dx + fy * dy)
-                c0 = fx * fx + fy * fy - radius * radius
-                disc = b * b - 4.0 * len2 * c0
-                if disc < 0.0:
-                    continue
-                sq = math.sqrt(disc)
-                t0 = (-b - sq) / (2.0 * len2)
-                t1 = (-b + sq) / (2.0 * len2)
-                lo, hi = max(t0, 0.0), min(t1, 1.0)
-                if hi > lo:
-                    raw.append((lo, hi))
-        if not raw:
-            continue
-        raw.sort()
-        merged = [raw[0]]
-        for lo, hi in raw[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        for lo, hi in merged:
-            measure = (hi - lo) * e.length
-            out.append((eid, lo, hi, measure))
-            total += measure
-    return out, total
+            raw = sorted(zip(lo[a:e].tolist(), hi[a:e].tolist()))
+            merged = [raw[0]]
+            for l0, h0 in raw[1:]:
+                if l0 <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], h0))
+                else:
+                    merged.append((l0, h0))
+            lo[a:a + len(merged)] = [m[0] for m in merged]
+            hi[a:a + len(merged)] = [m[1] for m in merged]
+            drop[a + len(merged):e] = True
+        c = c[~drop]
+        r = r[~drop]
+        lo = lo[~drop]
+        hi = hi[~drop]
+    return c, r, lo, hi
 
 
 def sample_destination_kappa_doubleprime(
-    home: StreetPosition,
+    homes: Sequence[StreetPosition],
     L_k: float,
     g: StreetGraph,
     rng: np.random.Generator,
-) -> StreetPosition:
+) -> list[StreetPosition]:
     """Waypoint kernel: uniform w.r.t. length on the streets within a disc.
 
-    Samples a point uniformly (by length measure) on the part of the street
-    system within torus distance L_k of the home.  A degenerate radius
-    returns the home itself; an empty restriction retries with the radius
-    doubled (cannot occur once the disc reaches the home's own street).
+    For each home, samples a point uniformly (by length measure) on the part
+    of the street system within torus distance L_k of the home.  A
+    degenerate radius returns the homes themselves; an empty restriction
+    retries with the radius doubled (cannot occur once the disc reaches the
+    home's own street), and after 64 doublings raises
+    ``RuntimeInvariantError``.
 
-    Streets near the disc are found through ``g.street_grid()``, built on
-    the first call and cached on the graph.  The grid only skips streets and
-    torus images that cannot meet the disc, and the rest are visited in
-    ascending street id with the same float expressions as a walk over all
-    streets.  So the intervals, their total and the single
-    ``rng.uniform(0, total)`` draw are bitwise those of that walk, and so is
-    every destination.
+    All homes are handled in one batch: they are grouped by position, and
+    each group tests, in numpy, only the streets that ``g.street_grid()``
+    lists for the group's discs, in chunks of at most
+    ``KERNEL_BATCH_ELEMENTS`` (disc, street, image) triples.  A home's
+    intervals, their running total and its pick are bitwise those of a walk
+    over every street in ascending id (see ``_disc_intervals``).  Retries
+    never draw, so the homes' uniforms come from one ``rng.uniform(size=n)``
+    call, and ``total * u`` is bitwise the ``rng.uniform(0, total)`` of a
+    draw per home.
     """
     if L_k < 0:
         raise ValueError("disc radius must be non-negative")
     if L_k == 0:
-        return home
-    center = coords(home, g)
+        return list(homes)
+    n = len(homes)
+    if not n:
+        return []
+    u = rng.uniform(size=n)
+    arr = g.street_arrays()
+    grid = g.street_grid()
+    L = g.L
+    side = 2.0 * L
+    centers = np.array([tuple(coords(h, g)) for h in homes], dtype=float).reshape(n, 2)
+    out: list = [None] * n
+    todo = np.arange(n)
     radius = L_k
     for _ in range(64):
-        intervals, total = _disc_street_intervals(g, center, radius)
-        if total > 0.0:
-            pick = rng.uniform(0.0, total)
-            acc = 0.0
-            last = len(intervals) - 1
-            for k, (eid, lo, hi, measure) in enumerate(intervals):
-                if pick <= acc + measure or k == last:
-                    e = g.edges[eid]
-                    t = lo + (pick - acc) / e.length
-                    t = min(max(t, lo), hi)
-                    return StreetPosition(eid, e.u, e.v, t)
-                acc += measure
+        reach = radius + STREET_GRID_PAD * side
+        # group the homes on a grid of squares about half a disc across, with
+        # at least 8 homes per square on average
+        dim = max(1, int(side // max(reach / 2.0, side * math.sqrt(8.0 / todo.size))))
+        square = np.minimum((centers[todo] + L) // (side / dim), dim - 1).astype(np.intp)
+        group = square[:, 0] * dim + square[:, 1]
+        order = np.argsort(group, kind="stable")
+        todo = todo[order]
+        group = group[order]
+        bounds = np.flatnonzero(np.r_[True, group[1:] != group[:-1], True]).tolist()
+        empty: list[np.ndarray] = []
+        for a, e in zip(bounds[:-1], bounds[1:]):
+            members = todo[a:e]
+            x = centers[members, 0]
+            y = centers[members, 1]
+            rows = grid.near(x.min() - reach, x.max() + reach, y.min() - reach, y.max() + reach)
+            step = max(1, KERNEL_BATCH_ELEMENTS // (9 * max(1, rows.size)))
+            for s in range(0, members.size, step):
+                chunk = members[s:s + step]
+                empty.append(_pick(g, arr, rows, chunk, centers[chunk], radius, u[chunk], out))
+        todo = np.concatenate(empty)
+        if not todo.size:
+            return out
         radius *= 2.0
-    raise RuntimeError("street system restriction stayed empty while growing the disc")
+    raise RuntimeInvariantError(
+        f"device {int(todo.min())}: the street system restriction stayed empty "
+        f"while growing the disc to radius {radius / 2.0!r} m"
+    )
+
+
+def _pick(g: StreetGraph, arr: StreetArrays, rows: np.ndarray, homes: np.ndarray,
+          centers: np.ndarray, radius: float, u: np.ndarray, out: list) -> np.ndarray:
+    """Draw the destinations of ``homes`` into ``out``, given their uniforms.
+
+    Returns the homes whose disc holds no street, to retry with a larger one.
+    """
+    c, r, lo, hi = _disc_intervals(arr, rows, centers[:, 0], centers[:, 1], radius, 2.0 * g.L)
+    measure = (hi - lo) * arr.length[r]
+    # each home's intervals fill one row from the left: cumsum along a row
+    # adds them one after another, as the running total of the walk does
+    counts = np.bincount(c, minlength=homes.size)
+    first = np.cumsum(counts) - counts
+    cum = np.zeros((homes.size, max(1, int(counts.max(initial=0)))))
+    cum[c, np.arange(c.size) - first[c]] = measure
+    np.cumsum(cum, axis=1, out=cum)
+    found = np.flatnonzero(counts)
+    last = counts[found] - 1
+    cum = cum[found]
+    pick = cum[np.arange(found.size), last] * u[found]
+    # the first interval whose running total reaches the pick, else the
+    # last; the zero padding repeats the total, which is >= the pick
+    at = np.minimum(np.count_nonzero(cum < pick[:, None], axis=1), last)
+    before = np.where(at > 0, cum[np.arange(found.size), at - 1], 0.0)
+    q = first[found] + at
+    lo = lo[q]
+    hi = hi[q]
+    t = lo + (pick - before) / arr.length[r[q]]
+    t = np.where(lo > t, lo, t)
+    t = np.where(hi < t, hi, t)
+    for home, eid, frac in zip(homes[found].tolist(), arr.ids[r[q]].tolist(), t.tolist()):
+        e = g.edges[eid]
+        out[home] = StreetPosition(eid, e.u, e.v, frac)
+    return homes[counts == 0]
 
 
 # -- shortest paths ----------------------------------------------------------

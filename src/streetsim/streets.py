@@ -36,12 +36,14 @@ __all__ = [
     "VoronoiCell",
     "StreetGraph",
     "CellIndex",
+    "StreetArrays",
+    "StreetGrid",
     "DegenerateTessellation",
     "calibrate_seed_intensity",
     "generate_pvt",
     "build_from_seeds",
     "build_cell_index",
-    "project_to_street",
+    "project_to_streets",
     "total_street_length",
 ]
 
@@ -52,6 +54,10 @@ _MATCH_RADIUS = 1e-6
 # against it, are padded by this fraction of the torus side: far above the
 # rounding of the grid arithmetic, so no street a disc touches is missed
 STREET_GRID_PAD = 1e-6
+
+# largest temporary array, in elements, that a batched waypoint kernel builds
+# at once; larger batches are split, so memory stays flat in the device count
+KERNEL_BATCH_ELEMENTS = 1 << 18
 
 
 class DegenerateTessellation(Exception):
@@ -103,7 +109,8 @@ class VoronoiCell:
 class StreetGraph:
     """Street system on the torus: crossings, streets and Voronoi cells."""
 
-    __slots__ = ("L", "vertices", "edges", "cells", "_adjacency", "_street_grid")
+    __slots__ = ("L", "vertices", "edges", "cells", "_adjacency", "_street_grid",
+                 "_street_arrays")
 
     def __init__(self, L, vertices, edges, cells):
         self.L = L
@@ -112,6 +119,7 @@ class StreetGraph:
         self.cells: dict[int, VoronoiCell] = cells
         self._adjacency = None
         self._street_grid = None
+        self._street_arrays = None
 
     def adjacency(self) -> dict[int, list[tuple[int, float, int]]]:
         """vertex id -> sorted list of (neighbor vertex, length, street id)."""
@@ -125,29 +133,26 @@ class StreetGraph:
             self._adjacency = adj
         return self._adjacency
 
-    def street_grid(self) -> "CellIndex":
+    def street_grid(self) -> "StreetGrid":
         """Regular torus grid listing, per square, the streets that may meet it.
 
-        There are floor(sqrt(#streets)) squares per side.  A street is listed,
-        in ascending id order, in every square (index modulo the grid) that
-        its unwrapped bounding box from ``u`` to ``u + delta``, padded by
-        ``STREET_GRID_PAD * 2L``, covers.  Built on first use and cached.
+        There are floor(sqrt(#streets)) squares per side.  A street is listed
+        in every square (index modulo the grid) that its unwrapped bounding
+        box from ``u`` to ``u + delta``, padded by ``STREET_GRID_PAD * 2L``,
+        covers.  Built on first use and cached.
         """
         if self._street_grid is None:
-            side = 2.0 * self.L
-            dim = max(1, math.isqrt(len(self.edges)))
-            grid = CellIndex(self.L, dim, side / dim, [[] for _ in range(dim * dim)])
-            pad = STREET_GRID_PAD * side
-            for eid in sorted(self.edges):
-                e = self.edges[eid]
-                ux, uy = self.vertices[e.u]
-                dx, dy = e.delta
-                rows = grid.span(min(uy, uy + dy) - pad, max(uy, uy + dy) + pad)
-                for i in grid.span(min(ux, ux + dx) - pad, max(ux, ux + dx) + pad):
-                    for j in rows:
-                        grid.grid[i * dim + j].append(eid)
-            self._street_grid = grid
+            self._street_grid = StreetGrid.build(self)
         return self._street_grid
+
+    def street_arrays(self) -> "StreetArrays":
+        """Per-street geometry columns for the batched waypoint kernels.
+
+        Built on first use and cached, like ``street_grid()``.
+        """
+        if self._street_arrays is None:
+            self._street_arrays = StreetArrays.build(self)
+        return self._street_arrays
 
     def clear_devices(self) -> None:
         for e in self.edges.values():
@@ -397,6 +402,100 @@ def generate_pvt(
     raise DegenerateTessellation(f"no valid tessellation after {max_attempts} attempts")
 
 
+class StreetArrays(NamedTuple):
+    """Street geometry as numpy columns, one row per street in ascending id.
+
+    ``xmin``..``ymax`` bound the unwrapped segment from ``u`` to
+    ``u + delta`` without padding.
+    """
+
+    ids: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    length: np.ndarray
+    xmin: np.ndarray
+    xmax: np.ndarray
+    ymin: np.ndarray
+    ymax: np.ndarray
+
+    @classmethod
+    def build(cls, g: StreetGraph) -> "StreetArrays":
+        ids = sorted(g.edges)
+        streets = [g.edges[eid] for eid in ids]
+        cols = np.array([(*g.vertices[e.u], *e.delta, e.length) for e in streets],
+                        dtype=float).reshape(-1, 5)
+        ux, uy, dx, dy, length = cols.T.copy()
+        vx = ux + dx
+        vy = uy + dy
+        return cls(
+            np.array(ids, dtype=np.intp), ux, uy, dx, dy, length,
+            np.where(dx >= 0.0, ux, vx), np.where(dx >= 0.0, vx, ux),
+            np.where(dy >= 0.0, uy, vy), np.where(dy >= 0.0, vy, uy),
+        )
+
+
+class StreetGrid(NamedTuple):
+    """``StreetGraph.street_grid()``: squares of side ``size`` tiling the torus.
+
+    The rows (in ``street_arrays()``) of the streets listed in square
+    ``s = i * dim + j`` are ``rows[ptr[s]:ptr[s + 1]]``.
+    """
+
+    L: float
+    dim: int
+    size: float
+    ptr: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, g: StreetGraph) -> "StreetGrid":
+        side = 2.0 * g.L
+        dim = max(1, math.isqrt(len(g.edges)))
+        grid = cls(g.L, dim, side / dim, np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp))
+        arr = g.street_arrays()
+        pad = STREET_GRID_PAD * side
+        squares: list[int] = []
+        rows: list[int] = []
+        for k, (x0, x1, y0, y1) in enumerate(zip(arr.xmin.tolist(), arr.xmax.tolist(),
+                                                 arr.ymin.tolist(), arr.ymax.tolist())):
+            ys = grid.span(y0 - pad, y1 + pad)
+            for i in grid.span(x0 - pad, x1 + pad):
+                squares += [i * dim + j for j in ys]
+                rows += [k] * len(ys)
+        squares = np.array(squares, dtype=np.intp)
+        order = np.argsort(squares, kind="stable")
+        counts = np.bincount(squares, minlength=dim * dim)
+        ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        return grid._replace(ptr=ptr, rows=np.array(rows, dtype=np.intp)[order])
+
+    def span(self, lo: float, hi: float) -> range | list[int]:
+        """Indices, modulo the grid, of the squares [lo, hi] covers on one axis.
+
+        ``lo`` and ``hi`` are unwrapped coordinates; a span of the whole
+        torus or more is ``range(dim)``.
+        """
+        i0 = math.floor((lo + self.L) / self.size)
+        i1 = math.floor((hi + self.L) / self.size)
+        if i1 - i0 >= self.dim - 1:
+            return range(self.dim)
+        return [i % self.dim for i in range(i0, i1 + 1)]
+
+    def near(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> np.ndarray:
+        """Ascending rows of the streets listed for an unwrapped box."""
+        cols = self.span(x_lo, x_hi)
+        rows = self.span(y_lo, y_hi)
+        if len(cols) == self.dim and len(rows) == self.dim:
+            return np.unique(self.rows)
+        squares = (np.asarray(cols)[:, None] * self.dim + np.asarray(rows)[None, :]).ravel()
+        starts = self.ptr[squares]
+        counts = self.ptr[squares + 1] - starts
+        # positions into self.rows of every listed entry, square after square
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        return np.unique(self.rows[offsets + np.arange(offsets.size)])
+
+
 @dataclass(slots=True)
 class CellIndex:
     """Regular grid over the torus listing candidate ids per square.
@@ -404,8 +503,7 @@ class CellIndex:
     Grid squares tile [-L, L)^2 exactly (the requested cell size is rounded
     so the grid divides 2L).  ``build_cell_index`` lists in every square all
     Voronoi cells whose closure can intersect it, so a point's true
-    containing cell is always among the candidates of its square;
-    ``StreetGraph.street_grid`` lists streets the same way.
+    containing cell is always among the candidates of its square.
     """
 
     L: float
@@ -420,18 +518,6 @@ class CellIndex:
         i = min(max(i, 0), self.dim - 1)
         j = min(max(j, 0), self.dim - 1)
         return self.grid[i * self.dim + j]
-
-    def span(self, lo: float, hi: float) -> range | list[int]:
-        """Indices, modulo the grid, of the squares [lo, hi] covers on one axis.
-
-        ``lo`` and ``hi`` are unwrapped coordinates; a span of the whole
-        torus or more is ``range(dim)``.
-        """
-        i0 = math.floor((lo + self.L) / self.size)
-        i1 = math.floor((hi + self.L) / self.size)
-        if i1 - i0 >= self.dim - 1:
-            return range(self.dim)
-        return [i % self.dim for i in range(i0, i1 + 1)]
 
 
 def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellIndex:
@@ -496,43 +582,79 @@ def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellInde
     return CellIndex(L, dim, size, [sorted(b) for b in buckets])
 
 
-def project_to_street(p, g: StreetGraph, idx: CellIndex) -> StreetPosition:
-    """Project a torus point onto the closest point of the street system.
+def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPosition]:
+    """Project torus points onto the closest points of the street system.
 
-    The closest street is a boundary street of the Voronoi cell containing p,
-    so only the candidate cells' boundaries are examined.  Equidistant
-    streets tie-break to the smallest street id.
+    The closest street is a boundary street of the Voronoi cell containing a
+    point, so for each point the nearest seed is found through ``idx`` (ties
+    to the smaller cell id) and only that cell's boundary streets are
+    examined, each in all nine torus images of the point.  The distances of
+    all points are ranked at once in numpy; every candidate within a
+    relative 1e-12 of its point's minimum is measured again with
+    ``math.hypot``, and the smallest (distance, street id) wins, the first
+    image on a tie.  So the fraction returned is bitwise that of a walk over
+    the cell's streets and images in order.
     """
-    px, py = p
     L = g.L
-    best_cell = None
-    best_d = math.inf
-    for cid in idx.lookup(p):
-        d = torus_distance(p, g.cells[cid].seed, L)
-        if d < best_d or (d == best_d and (best_cell is None or cid < best_cell)):
-            best_d = d
-            best_cell = cid
-    if best_cell is None:
-        raise ValueError("empty cell index")
     side = 2.0 * L
-    best = None  # (distance, street id, fraction)
-    for eid in g.cells[best_cell].edge_ids:
-        e = g.edges[eid]
-        ux, uy = g.vertices[e.u]
-        dx, dy = e.delta
-        len2 = e.length * e.length
-        for oi in (-side, 0.0, side):
-            qx = px + oi - ux
-            for oj in (-side, 0.0, side):
-                qy = py + oj - uy
-                t = (qx * dx + qy * dy) / len2
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                d = math.hypot(qx - t * dx, qy - t * dy)
-                if best is None or (d, eid) < (best[0], best[1]):
-                    best = (d, eid, t)
-    d, eid, t = best
-    e = g.edges[eid]
-    return StreetPosition(eid, e.u, e.v, t)
+    arr = g.street_arrays()
+    xs, ys, counts, eids = [], [], [], []
+    for p in points:
+        px, py = p
+        best_cell = None
+        best_d = math.inf
+        for cid in idx.lookup(p):
+            d = torus_distance(p, g.cells[cid].seed, L)
+            if d < best_d or (d == best_d and (best_cell is None or cid < best_cell)):
+                best_d = d
+                best_cell = cid
+        if best_cell is None:
+            raise ValueError("empty cell index")
+        boundary = g.cells[best_cell].edge_ids
+        if not boundary:
+            raise ValueError(f"cell {best_cell} has no boundary streets")
+        xs.append(px)
+        ys.append(py)
+        counts.append(len(boundary))
+        eids += boundary
+    if not counts:
+        return []
+    rows = np.searchsorted(arr.ids, eids)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    owner = np.repeat(np.arange(len(counts)), counts)
+    xs = np.array(xs)
+    ys = np.array(ys)
+    offsets = np.array([-side, 0.0, side])
+    out: list[StreetPosition] = []
+    step = max(1, KERNEL_BATCH_ELEMENTS // (9 * max(counts)))
+    for k0 in range(0, len(counts), step):
+        k1 = min(k0 + step, len(counts))
+        a, b = first[k0], first[k1]
+        o = owner[a:b]
+        r = rows[a:b]
+        # (street, x image, y image), in the order of the walk
+        dx = arr.dx[r][:, None, None]
+        dy = arr.dy[r][:, None, None]
+        len2 = (arr.length[r] * arr.length[r])[:, None, None]
+        qx = (xs[o][:, None] + offsets - arr.ux[r][:, None])[:, :, None]
+        qy = (ys[o][:, None] + offsets - arr.uy[r][:, None])[:, None, :]
+        t = (qx * dx + qy * dy) / len2
+        t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+        ex = (qx - t * dx).reshape(-1, 9)
+        ey = (qy - t * dy).reshape(-1, 9)
+        t = t.reshape(-1, 9)
+        # np.hypot may differ from math.hypot in the last bit: it only ranks
+        dist = np.hypot(ex, ey)
+        nearest = np.minimum.reduceat(dist.min(axis=1), first[k0:k1] - a)
+        near = dist <= (nearest * (1.0 + 1e-12))[o - k0][:, None]
+        best: dict[int, tuple] = {}
+        for j, m in zip(*(ix.tolist() for ix in np.nonzero(near))):
+            key = (math.hypot(ex[j, m], ey[j, m]), int(arr.ids[r[j]]))
+            k = int(o[j])
+            if k not in best or key < best[k][0]:
+                best[k] = (key, float(t[j, m]))
+        for k in range(k0, k1):
+            (_, eid), frac = best[k]
+            e = g.edges[eid]
+            out.append(StreetPosition(eid, e.u, e.v, frac))
+    return out

@@ -42,7 +42,7 @@ from streetsim.streets import (
     StreetPosition,
     build_cell_index,
     generate_pvt,
-    project_to_street,
+    project_to_streets,
     total_street_length,
 )
 from streetsim.torus import TorusPoint, torus_distance, wrap
@@ -117,8 +117,9 @@ def _oracle_instance(seed, T, r, rho):
     from streetsim.mobility import TwoPointVelocity
 
     dist = TwoPointVelocity(0.8, 1.6, 0.5)
-    for d in devices:
-        dest = sample_destination_kappa_prime(d.home, 120.0, g, idx, streams["waypoints"])
+    dests = sample_destination_kappa_prime([d.home for d in devices], 120.0, g, idx,
+                                           streams["waypoints"])
+    for d, dest in zip(devices, dests):
         assign_commute(d, dest, sample_velocity(dist, streams["velocities"]), g)
     v_max = max(d.velocity for d in devices)
     eps = 0.01
@@ -181,8 +182,9 @@ def _small_commuting_instance(seed, torus_side=700.0, n_target=12.0):
         return None
     idx = build_cell_index(g)
     dist = PositiveNormalVelocity(1.0, 0.2)
-    for d in devices:
-        dest = sample_destination_kappa_prime(d.home, 120.0, g, idx, streams["waypoints"])
+    dests = sample_destination_kappa_prime([d.home for d in devices], 120.0, g, idx,
+                                           streams["waypoints"])
+    for d, dest in zip(devices, dests):
         assign_commute(d, dest, sample_velocity(dist, streams["velocities"]), g)
     return g, devices
 
@@ -282,9 +284,8 @@ def test_criterion_5_geometry_suite():
         # projection vs all-streets brute force
         g = generate_pvt(700.0, rng, seed_count=30)
         idx = build_cell_index(g)
-        for x, y in rng.uniform(-g.L, g.L, size=(1000, 2)):
-            p = TorusPoint(x, y)
-            pos = project_to_street(p, g, idx)
+        points = [TorusPoint(x, y) for x, y in rng.uniform(-g.L, g.L, size=(1000, 2))]
+        for p, pos in zip(points, project_to_streets(points, g, idx)):
             d_b, eid_b, t_b = brute_force_projection(p, g)
             assert pos.street == eid_b and abs(pos.p - t_b) <= 1e-9
         # degree 3 on 50 generated tessellations
@@ -337,8 +338,7 @@ def test_criterion_6_sampling_suite():
         from streetsim.mobility import coords
 
         hc = coords(home, g2)
-        for _ in range(2000):
-            dest = sample_destination_kappa_prime(home, R, g2, idx, rng)
+        for dest in sample_destination_kappa_prime([home] * 2000, R, g2, idx, rng):
             assert torus_distance(hc, coords(dest, g2), g2.L) <= 2.0 * R + 1e-9
         # length-weighted street choice for the on-street kernel
         g3 = make_graph(
@@ -347,8 +347,8 @@ def test_criterion_6_sampling_suite():
             [(0, 1), (2, 3)],
         )
         home3 = StreetPosition(0, 0, 1, 0.0)
-        picks = [sample_destination_kappa_doubleprime(home3, 490.0, g3, rng).street
-                 for _ in range(10_000)]
+        picks = [d.street for d in
+                 sample_destination_kappa_doubleprime([home3] * 10_000, 490.0, g3, rng)]
         frac_small = float(np.mean([p == 0 for p in picks]))
         assert abs(frac_small - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / 10_000)
         # positive-normal velocities: positivity and truncated mean

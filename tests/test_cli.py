@@ -87,6 +87,22 @@ class TestConfigInput:
         assert "not an integer" in capsys.readouterr().err
 
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="negative"):
+            parse_config(base_config(seeds=[-1]))
+        path = write_config(tmp_path, base_config(seeds=[2, -1]))
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "seeds: -1 is negative" in err and "Traceback" not in err
+
+    def test_seed_offset_making_a_seed_negative_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(seeds=[1, 5]))
+        assert main(["run", path, "--seed-offset", "-3", "--out", str(tmp_path / "out")]) == 2
+        assert "config error: seeds: must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "out.csv").exists()
+
+
 class TestRun:
     def test_run_writes_csv_and_is_deterministic(self, tmp_path):
         cfg = base_config()
@@ -211,6 +227,17 @@ class TestRun:
         assert main(["run", path, "--out", str(tmp_path / "serial")]) == 0
         assert (tmp_path / "par" / "out.csv").read_bytes() == \
             (tmp_path / "serial" / "out.csv").read_bytes()
+
+    def test_disc_radius_too_small_to_grow_exits_3(self, tmp_path, capsys):
+        # the squared radius underflows for all 64 doublings: no street is found
+        path = write_config(tmp_path, base_config(
+            seeds=[1], kernel={"kappa_doubleprime": {"L_m": 1e-200}}))
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime invariant breach: device ")
+        assert "radius 9.2" in err and "Traceback" not in err
 
     def test_runtime_breach_exit_code(self, tmp_path, monkeypatch):
         import streetsim.cli as cli

@@ -8,6 +8,10 @@ two-point velocity law, so fast devices overtake slow ones on shared
 streets; every case has reversals and streets with several devices.  The
 digests were recorded before the event loop was flattened, and pin its
 floating-point results bit for bit.
+
+The set-up digests pin every device's destination and path as
+``build_seed_state`` gives them; they were recorded while the waypoint
+kernels still ran once per device, and pin the batched kernels' draws.
 """
 
 import hashlib
@@ -67,3 +71,16 @@ def golden_run(kernel, velocity, seed):
 def test_history_and_established_digests(kernel, velocity, seed, history_sha, established_sha):
     state = golden_run(kernel, velocity, seed)
     assert (digest(state.history), digest(state.established)) == (history_sha, established_sha)
+
+
+@pytest.mark.parametrize("kernel, velocity, seed, setup_sha", [
+    (KAPPA_PRIME, TWO_POINT, 5,
+     "fbff44cf057395f72238679225afa0853c1daf3552796abb775f01f59f0830b5"),
+    (KAPPA_DOUBLEPRIME, NORMAL_PLUS, 6,
+     "683d3d4a8eb256bc8c076d5e8caca1825594bd33df55a8f007f3f01714c3df56"),
+], ids=["kappa_prime-5", "kappa_doubleprime-6"])
+def test_setup_destination_and_path_digests(kernel, velocity, seed, setup_sha):
+    g, devices, _ = build_seed_state(small_config(kernel, velocity, seed), seed)
+    items = [(tuple(d.destination), d.path.start, d.path.crossings, d.path.end, d.path.streets)
+             for d in devices]
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == setup_sha

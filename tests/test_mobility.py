@@ -3,9 +3,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from streetsim import mobility
 from streetsim.mobility import (
     Device,
     DiracVelocity,
@@ -13,7 +12,7 @@ from streetsim.mobility import (
     PositiveNormalVelocity,
     RuntimeInvariantError,
     TwoPointVelocity,
-    _disc_street_intervals,
+    _disc_intervals,
     assign_commute,
     coords,
     position_at,
@@ -23,10 +22,17 @@ from streetsim.mobility import (
     sample_velocity,
     shortest_path,
 )
-from streetsim.streets import StreetPosition, build_cell_index, generate_pvt, total_street_length
-from streetsim.torus import TorusPoint, torus_distance
+from streetsim.streets import (
+    STREET_GRID_PAD,
+    StreetPosition,
+    build_cell_index,
+    generate_pvt,
+    total_street_length,
+)
+from streetsim.torus import TorusPoint, torus_distance, wrap
 
 from conftest import make_graph
+from test_streets import brute_force_projection
 
 
 class FakeRng:
@@ -36,7 +42,12 @@ class FakeRng:
         self.values = list(values)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        v = self.values.pop(0)
+        if size is None:
+            v = self.values.pop(0)
+        else:
+            n = int(np.prod(size))
+            v = np.array(self.values[:n]).reshape(size)
+            del self.values[:n]
         return low + (high - low) * v
 
 
@@ -80,7 +91,7 @@ class TestKappaPrime:
         idx = build_cell_index(g)
         e = g.edges[min(g.edges)]
         home = StreetPosition(e.id, e.u, e.v, 0.5)
-        dest = sample_destination_kappa_prime(home, 100.0, g, idx, FakeRng([0.0, 0.37]))
+        [dest] = sample_destination_kappa_prime([home], 100.0, g, idx, FakeRng([0.0, 0.37]))
         assert dest.street == home.street
         assert dest.p == pytest.approx(0.5, abs=1e-9)
 
@@ -101,8 +112,7 @@ class TestKappaPrime:
         home = StreetPosition(e.id, e.u, e.v, 0.1)
         hc = coords(home, g)
         R = 150.0
-        for _ in range(500):
-            dest = sample_destination_kappa_prime(home, R, g, idx, rng)
+        for dest in sample_destination_kappa_prime([home] * 500, R, g, idx, rng):
             dc = coords(dest, g)
             assert -g.L <= dc.x < g.L and -g.L <= dc.y < g.L
             # projection cannot move a point further than its distance to the street
@@ -113,14 +123,14 @@ class TestKappaPrime:
         idx = build_cell_index(g)
         home = StreetPosition(0, g.edges[0].u, g.edges[0].v, 0.5)
         with pytest.raises(ValueError):
-            sample_destination_kappa_prime(home, g.L, g, idx, rng)
+            sample_destination_kappa_prime([home], g.L, g, idx, rng)
 
 
 class TestKappaDoublePrime:
     def test_uniform_on_single_covered_street(self, rng):
         g = make_graph(500.0, {0: (-40.0, 0.0), 1: (40.0, 0.0)}, [(0, 1)])
         home = StreetPosition(0, 0, 1, 0.5)
-        fracs = [sample_destination_kappa_doubleprime(home, 200.0, g, rng).p for _ in range(10_000)]
+        fracs = [d.p for d in sample_destination_kappa_doubleprime([home] * 10_000, 200.0, g, rng)]
         assert abs(np.mean(fracs) - 0.5) < 3.0 * (1.0 / math.sqrt(12.0)) / math.sqrt(10_000)
 
     def test_length_weighted_street_choice(self, rng):
@@ -131,22 +141,21 @@ class TestKappaDoublePrime:
             [(0, 1), (2, 3)],
         )
         home = StreetPosition(0, 0, 1, 0.0)
-        picks = [sample_destination_kappa_doubleprime(home, 490.0, g, rng).street for _ in range(10_000)]
+        picks = [d.street for d in sample_destination_kappa_doubleprime([home] * 10_000, 490.0, g, rng)]
         frac_small = np.mean([p == 0 for p in picks])
         assert abs(frac_small - 0.25) < 3.0 * math.sqrt(0.25 * 0.75 / 10_000)
 
     def test_degenerate_radius_returns_home(self, rng):
         g = make_graph(500.0, {0: (0.0, 0.0), 1: (50.0, 0.0)}, [(0, 1)])
         home = StreetPosition(0, 0, 1, 0.3)
-        assert sample_destination_kappa_doubleprime(home, 0.0, g, rng) == home
+        assert sample_destination_kappa_doubleprime([home], 0.0, g, rng) == [home]
 
     def test_all_samples_within_disc(self, rng):
         g = generate_pvt(500.0, rng, seed_count=20)
         e = g.edges[min(g.edges)]
         home = StreetPosition(e.id, e.u, e.v, 0.4)
         hc = coords(home, g)
-        for _ in range(300):
-            dest = sample_destination_kappa_doubleprime(home, 120.0, g, rng)
+        for dest in sample_destination_kappa_doubleprime([home] * 300, 120.0, g, rng):
             assert torus_distance(hc, coords(dest, g), g.L) <= 120.0 + 1e-6
 
 
@@ -194,8 +203,60 @@ def brute_force_disc_street_intervals(g, center, radius):
     return out, total
 
 
+def brute_force_kappa_doubleprime(homes, L_k, g, rng):
+    """Oracle: one draw per home from the walk over every street and image."""
+    out = []
+    for home in homes:
+        if L_k == 0:
+            out.append(home)
+            continue
+        center = coords(home, g)
+        radius = L_k
+        while True:
+            intervals, total = brute_force_disc_street_intervals(g, center, radius)
+            if total > 0.0:
+                break
+            radius *= 2.0
+        pick = rng.uniform(0.0, total)
+        acc = 0.0
+        for k, (eid, lo, hi, measure) in enumerate(intervals):
+            if pick <= acc + measure or k == len(intervals) - 1:
+                e = g.edges[eid]
+                t = lo + (pick - acc) / e.length
+                out.append(StreetPosition(eid, e.u, e.v, min(max(t, lo), hi)))
+                break
+            acc += measure
+    return out
+
+
+def batched_disc_intervals(g, centers, radius):
+    """The batched kernel's intervals for discs around ``centers``, tested
+    together against the streets the grid lists for their joint padded box,
+    as (intervals, total) per centre in the oracle's form."""
+    arr = g.street_arrays()
+    reach = radius + STREET_GRID_PAD * 2.0 * g.L
+    xs = np.array([c.x for c in centers])
+    ys = np.array([c.y for c in centers])
+    rows = g.street_grid().near(xs.min() - reach, xs.max() + reach, ys.min() - reach, ys.max() + reach)
+    owner, r, lo, hi = _disc_intervals(arr, rows, xs, ys, radius, 2.0 * g.L)
+    out = [([], 0.0) for _ in centers]
+    for k, row, a, b in zip(owner.tolist(), r.tolist(), lo.tolist(), hi.tolist()):
+        eid = int(arr.ids[row])
+        measure = (b - a) * g.edges[eid].length
+        intervals, total = out[k]
+        intervals.append((eid, a, b, measure))
+        out[k] = (intervals, total + measure)
+    return out
+
+
+def leaving_graph():
+    """u + delta of street 0 lies beyond x = L; its wrapped part sits near x = -L."""
+    return make_graph(500.0, {0: (470.0, 10.0), 1: (-480.0, -25.0), 2: (0.0, 0.0),
+                              3: (30.0, 40.0)}, [(0, 1), (2, 3)])
+
+
 class TestDiscStreetIntervals:
-    """The street-grid sampler returns exactly what the brute-force walk does."""
+    """The batched disc kernel returns exactly what the brute-force walk does."""
 
     RADII = (1.0, 10.0, 60.0, 150.0, 299.0, 300.0, 450.0, 650.0)  # L = 300: up to > 2L
 
@@ -207,21 +268,20 @@ class TestDiscStreetIntervals:
         centers = [TorusPoint(*rng.uniform(-g.L, g.L, 2)) for _ in range(25)]
         centers += [TorusPoint(-g.L, -g.L), TorusPoint(-g.L, 0.0)]
         centers += [coords(StreetPosition(e.id, e.u, e.v, 0.5), g) for e in g.edges.values()][:20]
-        for c in centers:
-            for radius in self.RADII:
-                assert (_disc_street_intervals(g, c, radius)
-                        == brute_force_disc_street_intervals(g, c, radius)), (c, radius)
+        for radius in self.RADII:
+            expected = [brute_force_disc_street_intervals(g, c, radius) for c in centers]
+            # each disc on its own box, as a lone home is, and all discs at once
+            assert [batched_disc_intervals(g, [c], radius)[0] for c in centers] == expected, radius
+            assert batched_disc_intervals(g, centers, radius) == expected, radius
 
     def test_street_leaving_the_fundamental_square(self):
-        # u + delta lies beyond x = L; its wrapped part sits near x = -L
-        g = make_graph(500.0, {0: (470.0, 10.0), 1: (-480.0, -25.0), 2: (0.0, 0.0),
-                               3: (30.0, 40.0)}, [(0, 1), (2, 3)])
+        g = leaving_graph()
         assert g.vertices[0].x + g.edges[0].delta[0] > g.L
         for c in (TorusPoint(-495.0, -20.0), TorusPoint(495.0, 0.0), TorusPoint(-499.0, 499.0)):
             for radius in (1.0, 8.0, 20.0, 40.0, 600.0, 1100.0):
-                got = _disc_street_intervals(g, c, radius)
+                [got] = batched_disc_intervals(g, [c], radius)
                 assert got == brute_force_disc_street_intervals(g, c, radius), (c, radius)
-        assert _disc_street_intervals(g, TorusPoint(-495.0, -20.0), 20.0)[1] > 0.0
+        assert batched_disc_intervals(g, [TorusPoint(-495.0, -20.0)], 20.0)[0][1] > 0.0
 
     @pytest.mark.parametrize("n_seeds", [None, 4])
     def test_tiny_graphs(self, rng, n_seeds):
@@ -230,24 +290,103 @@ class TestDiscStreetIntervals:
                                    3: (170.0, 160.0)}, [(0, 1), (2, 3)])
         else:
             g = generate_pvt(200.0, rng, seed_count=n_seeds)
-        for _ in range(30):
-            c = TorusPoint(*rng.uniform(-g.L, g.L, 2))
-            for radius in (1.0, 25.0, 120.0, 450.0):
-                assert (_disc_street_intervals(g, c, radius)
-                        == brute_force_disc_street_intervals(g, c, radius)), (c, radius)
+        centers = [TorusPoint(*rng.uniform(-g.L, g.L, 2)) for _ in range(30)]
+        for radius in (1.0, 25.0, 120.0, 450.0):
+            expected = [brute_force_disc_street_intervals(g, c, radius) for c in centers]
+            assert [batched_disc_intervals(g, [c], radius)[0] for c in centers] == expected
+            assert batched_disc_intervals(g, centers, radius) == expected
 
-    def test_draw_sequence_unchanged(self, monkeypatch):
+    def test_draw_sequence_unchanged(self):
+        # the batched sampler's draws, and the stream after them, are those
+        # of one brute-force draw per home
         g = generate_pvt(300.0, np.random.default_rng(5), street_intensity=20.0)
         homes = [StreetPosition(e.id, e.u, e.v, 0.25) for e in g.edges.values()][::7]
+        for L_k in (0.5, 100.0, 300.0, 700.0):
+            rng, ref = np.random.default_rng(99), np.random.default_rng(99)
+            assert (sample_destination_kappa_doubleprime(homes, L_k, g, rng)
+                    == brute_force_kappa_doubleprime(homes, L_k, g, ref)), L_k
+            assert rng.uniform() == ref.uniform()
 
-        def draws():
-            rng = np.random.default_rng(99)
-            return [sample_destination_kappa_doubleprime(h, L_k, g, rng)
-                    for h in homes for L_k in (0.5, 100.0, 300.0, 700.0)]
 
-        gridded = draws()
-        monkeypatch.setattr(mobility, "_disc_street_intervals", brute_force_disc_street_intervals)
-        assert gridded == draws()
+def random_homes(g, data, n_max=25):
+    eids = sorted(g.edges)
+    picks = data.draw(st.lists(st.tuples(st.sampled_from(eids), st.floats(0.0, 1.0)),
+                               min_size=1, max_size=n_max))
+    return [StreetPosition(eid, g.edges[eid].u, g.edges[eid].v, p) for eid, p in picks]
+
+
+class TestBatchedKappaDoublePrimeOracle:
+    """Hypothesis: the batched κ″ equals the per-home brute-force sampler."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_seed=st.integers(0, 2**32 - 1), draw_seed=st.integers(0, 2**32 - 1),
+           L_k=st.sampled_from([5.0, 40.0, 120.0, 310.0, 420.0, 650.0]), data=st.data())
+    def test_pvt_graphs_and_multi_image_radii(self, graph_seed, draw_seed, L_k, data):
+        # L = 300, so radii above 300 meet some streets in several disc images
+        g = generate_pvt(300.0, np.random.default_rng(graph_seed), seed_count=12)
+        homes = random_homes(g, data)
+        rng, ref = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        assert (sample_destination_kappa_doubleprime(homes, L_k, g, rng)
+                == brute_force_kappa_doubleprime(homes, L_k, g, ref))
+        assert rng.uniform() == ref.uniform()
+
+    @settings(max_examples=25, deadline=None)
+    @given(draw_seed=st.integers(0, 2**32 - 1), data=st.data(),
+           L_k=st.sampled_from([1e-13, 1e-12, 5e-12]))
+    def test_retries_after_an_empty_first_disc(self, draw_seed, L_k, data):
+        # a disc far below the rounding of the home's coordinates holds no
+        # street, so the radius doubles until it does
+        g = leaving_graph()
+        homes = random_homes(g, data, n_max=8)
+        rng, ref = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        assert (sample_destination_kappa_doubleprime(homes, L_k, g, rng)
+                == brute_force_kappa_doubleprime(homes, L_k, g, ref))
+        assert rng.uniform() == ref.uniform()
+
+    def test_retry_case_has_an_empty_first_disc(self):
+        g = leaving_graph()
+        home = StreetPosition(0, 0, 1, 0.3)
+        assert brute_force_disc_street_intervals(g, coords(home, g), 1e-13)[1] == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(draw_seed=st.integers(0, 2**32 - 1), data=st.data(),
+           L_k=st.sampled_from([1.0, 8.0, 20.0, 40.0, 600.0, 1100.0]))
+    def test_streets_leaving_the_fundamental_square(self, draw_seed, L_k, data):
+        g = leaving_graph()
+        homes = random_homes(g, data)
+        rng, ref = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        assert (sample_destination_kappa_doubleprime(homes, L_k, g, rng)
+                == brute_force_kappa_doubleprime(homes, L_k, g, ref))
+
+    def test_gives_up_after_64_doublings(self):
+        g = leaving_graph()
+        homes = [StreetPosition(1, 2, 3, 0.5), StreetPosition(0, 0, 1, 0.3)]
+        with pytest.raises(RuntimeInvariantError, match=r"device 0: .* radius 9\.2"):
+            sample_destination_kappa_doubleprime(homes, 1e-200, g, np.random.default_rng(1))
+
+
+class TestBatchedKappaPrimeOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(graph_seed=st.integers(0, 2**32 - 1), draw_seed=st.integers(0, 2**32 - 1),
+           R=st.floats(0.5, 295.0), data=st.data())
+    def test_matches_brute_force_projection(self, graph_seed, draw_seed, R, data):
+        # each home's disc point, drawn as two scalar uniforms, projected by
+        # a walk over every street and image
+        g = generate_pvt(300.0, np.random.default_rng(graph_seed), seed_count=12)
+        idx = build_cell_index(g)
+        homes = random_homes(g, data)
+        rng, ref = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        for home, dest in zip(homes, sample_destination_kappa_prime(homes, R, g, idx, rng),
+                              strict=True):
+            c = coords(home, g)
+            u1 = ref.uniform()
+            u2 = ref.uniform()
+            rad = math.sqrt(u1) * R
+            p = wrap((c.x + rad * math.sin(2.0 * math.pi * u2),
+                      c.y + rad * math.cos(2.0 * math.pi * u2)), g.L)
+            _, eid, t = brute_force_projection(p, g)
+            assert (dest.street, dest.p) == (eid, t)
+        assert rng.uniform() == ref.uniform()
 
 
 def nx_oracle_graph(g, positions):
@@ -436,7 +575,8 @@ class TestDeviceMotionState:
         # sampled devices start stationary
         assert all(consistent(d) and not d.moving for d in devices)
         for k, d in enumerate(devices):
-            dest = d.home if k % 3 == 0 else sample_destination_kappa_prime(d.home, 60.0, g, idx, rng)
+            dest = (d.home if k % 3 == 0
+                    else sample_destination_kappa_prime([d.home], 60.0, g, idx, rng)[0])
             assign_commute(d, dest, 1.0, g)
             assert consistent(d)
             twin = d.clone()

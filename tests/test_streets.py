@@ -10,7 +10,7 @@ from streetsim.streets import (
     build_from_seeds,
     calibrate_seed_intensity,
     generate_pvt,
-    project_to_street,
+    project_to_streets,
     total_street_length,
 )
 from streetsim.torus import TorusPoint, min_image_delta, torus_distance, wrap
@@ -178,16 +178,15 @@ class TestProjection:
         u = g.vertices[e.u]
         t = 0.37
         pt = wrap((u.x + t * e.delta[0], u.y + t * e.delta[1]), g.L)
-        pos = project_to_street(pt, g, idx)
+        [pos] = project_to_streets([pt], g, idx)
         assert pos.street == e.id
         assert pos.p == pytest.approx(t, abs=1e-9)
 
     def test_matches_brute_force(self, rng):
         g = generate_pvt(700.0, rng, seed_count=30)
         idx = build_cell_index(g)
-        for x, y in rng.uniform(-g.L, g.L, size=(1000, 2)):
-            p = TorusPoint(x, y)
-            pos = project_to_street(p, g, idx)
+        points = [TorusPoint(x, y) for x, y in rng.uniform(-g.L, g.L, size=(1000, 2))]
+        for p, pos in zip(points, project_to_streets(points, g, idx)):
             d_brute, eid_brute, t_brute = brute_force_projection(p, g)
             assert pos.street == eid_brute
             assert pos.p == pytest.approx(t_brute, abs=1e-9)
@@ -201,8 +200,14 @@ class TestProjection:
         )
         g.cells = {0: VoronoiCell(0, TorusPoint(0.0, 0.0), [0, 1])}
         idx = build_cell_index(g, cell_size=250.0)
-        pos = project_to_street(TorusPoint(0.0, 0.0), g, idx)
+        [pos] = project_to_streets([TorusPoint(0.0, 0.0)], g, idx)
         assert pos.street == 0
+        # a batch of points on the midline, each equidistant from both streets
+        points = [TorusPoint(x, 0.0) for x in np.linspace(-60.0, 60.0, 25)]
+        for p, pos in zip(points, project_to_streets(points, g, idx)):
+            d_brute, eid_brute, t_brute = brute_force_projection(p, g)
+            assert pos.street == eid_brute == 0
+            assert pos.p == t_brute
 
 
 class TestTotalLength:
