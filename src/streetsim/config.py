@@ -238,9 +238,13 @@ def build_seed_state(cfg: ExperimentConfig, seed: int):
     Returns (graph, devices, velocity distribution).  Devices carry sampled
     destinations, velocities and shortest paths.  The waypoint kernel runs
     once, on every device's home, from the ``waypoints`` stream; then each
-    device draws its velocity from the ``velocities`` stream and gets its
-    path.  The kernels draw the same numbers in the same order as one call
-    per device would, so the destinations are those of such a loop.
+    device draws its velocity from the ``velocities`` stream, in device
+    order, and one ``assign_commute`` call gives every device its path.  The
+    kernels draw the same numbers in the same order as one call per device
+    would, so the destinations are those of such a loop.  The paths are
+    ``shortest_path``'s: ``assign_commute`` batches the searches and keeps a
+    batched path only where a certificate proves it equal, and computes
+    every other device's path with ``shortest_path`` itself.
     """
     streams = rng_streams(seed)
     g = generate_pvt(
@@ -255,7 +259,6 @@ def build_seed_state(cfg: ExperimentConfig, seed: int):
     else:
         dests = sample_destination_kappa_doubleprime(homes, cfg.kernel.radius_m, g,
                                                      streams["waypoints"])
-    for d, dest in zip(devices, dests):
-        vel = sample_velocity(cfg.velocity, streams["velocities"])
-        assign_commute(d, dest, vel, g)
+    velocities = [sample_velocity(cfg.velocity, streams["velocities"]) for _ in devices]
+    assign_commute(devices, dests, velocities, g)
     return g, devices, cfg.velocity

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -379,21 +380,26 @@ def generate_pvt(
 
     Either ``street_intensity`` (km of street per km^2; the seed count is then
     Poisson with the calibrated intensity) or an explicit ``seed_count`` must
-    be given.  Rejected degenerate tessellations are resampled.
+    be given.  Rejected degenerate tessellations are resampled, and so is a
+    Poisson count below 3; after ``max_attempts`` draws
+    :class:`DegenerateTessellation` is raised.  An explicit ``seed_count``
+    below 3 is a ``ValueError``.
     """
     if L <= 0:
         raise ValueError("torus half-side must be positive")
     if (street_intensity is None) == (seed_count is None):
         raise ValueError("give exactly one of street_intensity or seed_count")
+    if seed_count is not None and seed_count < 3:
+        raise ValueError(f"need at least 3 seed points, got {seed_count}")
     side = 2.0 * L
     for _ in range(max_attempts):
         if street_intensity is not None:
             gamma_m2 = calibrate_seed_intensity(street_intensity) * 1e-6
             n = int(rng.poisson(gamma_m2 * side * side))
+            if n < 3:
+                continue
         else:
             n = int(seed_count)
-        if n < 3:
-            raise ValueError(f"need at least 3 seed points, got {n}")
         seeds = rng.uniform(-L, L, size=(n, 2))
         try:
             return build_from_seeds(seeds, L)
@@ -582,6 +588,44 @@ def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellInde
     return CellIndex(L, dim, size, [sorted(b) for b in buckets])
 
 
+def _nearest_seed_cells(pts: np.ndarray, g: StreetGraph, idx: CellIndex) -> list[int]:
+    """The Voronoi cell of every point of the (n, 2) array ``pts``.
+
+    A point's cell is its nearest seed among ``idx.lookup(p)``, ties to the
+    smaller cell id.  All (point, candidate) distances are ranked at once
+    with ``torus_distance``'s min-image expressions; only the points with
+    several candidates within a relative 1e-12 of their minimum (``np.hypot``
+    may differ from ``math.hypot`` in the last bit) are measured again with
+    ``torus_distance``, so the cells are those of a walk over every candidate.
+    """
+    L = g.L
+    points = pts.tolist()
+    cand = [idx.lookup(p) for p in points]
+    counts = np.array([len(c) for c in cand], dtype=np.intp)
+    if not counts.size:
+        return []
+    if not counts.all():
+        raise ValueError("empty cell index")
+    cids = np.fromiter(chain.from_iterable(cand), dtype=np.intp, count=int(counts.sum()))
+    cell_ids = np.array(sorted(g.cells), dtype=np.intp)
+    seeds = np.array([tuple(g.cells[c].seed) for c in cell_ids.tolist()], dtype=float)
+    seeds = seeds.reshape(-1, 2)[np.searchsorted(cell_ids, cids)]
+    owner = np.repeat(np.arange(counts.size), counts)
+    d = np.abs(pts[owner] - seeds)
+    d = np.where(2.0 * L - d < d, 2.0 * L - d, d)
+    dist = np.hypot(d[:, 0], d[:, 1])
+    first = np.cumsum(counts) - counts
+    nearest = np.minimum.reduceat(dist, first)
+    near = dist <= nearest[owner] * (1.0 + 1e-12)
+    # the first near candidate of each point, and how many there are
+    n_near = np.add.reduceat(near.astype(np.intp), first)
+    best = cids[np.flatnonzero(near)[np.cumsum(n_near) - n_near]].tolist()
+    for k in np.flatnonzero(n_near > 1).tolist():
+        p = points[k]
+        best[k] = min((torus_distance(p, g.cells[c].seed, L), c) for c in cand[k])[1]
+    return best
+
+
 def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPosition]:
     """Project torus points onto the closest points of the street system.
 
@@ -598,32 +642,22 @@ def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPos
     L = g.L
     side = 2.0 * L
     arr = g.street_arrays()
-    xs, ys, counts, eids = [], [], [], []
-    for p in points:
-        px, py = p
-        best_cell = None
-        best_d = math.inf
-        for cid in idx.lookup(p):
-            d = torus_distance(p, g.cells[cid].seed, L)
-            if d < best_d or (d == best_d and (best_cell is None or cid < best_cell)):
-                best_d = d
-                best_cell = cid
-        if best_cell is None:
-            raise ValueError("empty cell index")
-        boundary = g.cells[best_cell].edge_ids
+    pts = np.array([tuple(p) for p in points], dtype=float).reshape(-1, 2)
+    cells = _nearest_seed_cells(pts, g, idx)
+    if not cells:
+        return []
+    xs = pts[:, 0]
+    ys = pts[:, 1]
+    counts, eids = [], []
+    for cid in cells:
+        boundary = g.cells[cid].edge_ids
         if not boundary:
-            raise ValueError(f"cell {best_cell} has no boundary streets")
-        xs.append(px)
-        ys.append(py)
+            raise ValueError(f"cell {cid} has no boundary streets")
         counts.append(len(boundary))
         eids += boundary
-    if not counts:
-        return []
     rows = np.searchsorted(arr.ids, eids)
     first = np.concatenate(([0], np.cumsum(counts)))
     owner = np.repeat(np.arange(len(counts)), counts)
-    xs = np.array(xs)
-    ys = np.array(ys)
     offsets = np.array([-side, 0.0, side])
     out: list[StreetPosition] = []
     step = max(1, KERNEL_BATCH_ELEMENTS // (9 * max(counts)))

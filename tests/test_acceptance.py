@@ -119,8 +119,8 @@ def _oracle_instance(seed, T, r, rho):
     dist = TwoPointVelocity(0.8, 1.6, 0.5)
     dests = sample_destination_kappa_prime([d.home for d in devices], 120.0, g, idx,
                                            streams["waypoints"])
-    for d, dest in zip(devices, dests):
-        assign_commute(d, dest, sample_velocity(dist, streams["velocities"]), g)
+    velocities = [sample_velocity(dist, streams["velocities"]) for _ in devices]
+    assign_commute(devices, dests, velocities, g)
     v_max = max(d.velocity for d in devices)
     eps = 0.01
     if eps > 0.01 * min(e.length for e in g.edges.values()) / v_max:
@@ -184,8 +184,8 @@ def _small_commuting_instance(seed, torus_side=700.0, n_target=12.0):
     dist = PositiveNormalVelocity(1.0, 0.2)
     dests = sample_destination_kappa_prime([d.home for d in devices], 120.0, g, idx,
                                            streams["waypoints"])
-    for d, dest in zip(devices, dests):
-        assign_commute(d, dest, sample_velocity(dist, streams["velocities"]), g)
+    velocities = [sample_velocity(dist, streams["velocities"]) for _ in devices]
+    assign_commute(devices, dests, velocities, g)
     return g, devices
 
 

@@ -239,6 +239,22 @@ class TestRun:
         assert err.startswith("runtime invariant breach: device ")
         assert "radius 9.2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"street_intensity_km_per_km2": 1e-6},
+        {"torus_side_m": 150.0, "kernel": {"kappa_prime": {"R_m": 30.0}}},
+    ], ids=["tiny-intensity", "150m-torus"])
+    @pytest.mark.parametrize("command", ["run", "gen-streets"])
+    def test_too_few_voronoi_seeds_exits_3(self, tmp_path, capsys, overrides, command):
+        # a Poisson seed count below 3 is resampled like a rejected
+        # tessellation; at 1e-6 km/km^2 every draw is, and on the 150 m torus
+        # seed 4 gets 20 such draws or rejected tessellations in a row
+        path = write_config(tmp_path, base_config(seeds=[4], **overrides))
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime invariant breach: no valid tessellation after 20 attempts")
+
     def test_runtime_breach_exit_code(self, tmp_path, monkeypatch):
         import streetsim.cli as cli
         from streetsim.mobility import RuntimeInvariantError

@@ -45,8 +45,8 @@ def digest(items) -> str:
 def golden_run(kernel, velocity, seed):
     cfg = small_config(kernel, velocity, seed)
     g, devices, _ = build_seed_state(cfg, seed)
-    for d in devices[::5]:
-        assign_commute(d, d.home, d.velocity, g)
+    stationary = devices[::5]
+    assign_commute(stationary, [d.home for d in stationary], [d.velocity for d in stationary], g)
     state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s, T=cfg.T_s[0],
                        record_history=True)
     run(state)

@@ -3,7 +3,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
+from hypothesis import assume, given, settings, strategies as st
 
 from streetsim.mobility import (
     Device,
@@ -24,6 +25,9 @@ from streetsim.mobility import (
 )
 from streetsim.streets import (
     STREET_GRID_PAD,
+    DegenerateTessellation,
+    Street,
+    StreetGraph,
     StreetPosition,
     build_cell_index,
     generate_pvt,
@@ -490,6 +494,150 @@ class TestShortestPath:
         assert hits > 50
 
 
+def batched_paths(g, pairs):
+    """assign_commute's paths for devices commuting between the given positions."""
+    devices = [Device(k, frm, 0.0, 1.0, None, frm, frm) for k, (frm, _) in enumerate(pairs)]
+    assign_commute(devices, [to for _, to in pairs], [1.0] * len(pairs), g)
+    return [d.path for d in devices]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the devices assign_commute hands to shortest_path."""
+    import streetsim.mobility as mobility
+
+    calls = []
+
+    def counted(g, frm, to):
+        calls.append((frm, to))
+        return shortest_path(g, frm, to)
+
+    monkeypatch.setattr(mobility, "shortest_path", counted)
+    return calls
+
+
+def either_way(e, p):
+    return [StreetPosition(e.id, e.u, e.v, p), StreetPosition(e.id, e.v, e.u, p)]
+
+
+class TestBatchedPaths:
+    """assign_commute's batched paths equal shortest_path's, device by device."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph_seed=st.integers(0, 2**32 - 1), n_cells=st.integers(4, 30), data=st.data())
+    def test_matches_shortest_path_on_pvts(self, graph_seed, n_cells, data):
+        # a few cells on a small torus: wrapping and parallel streets are common
+        try:
+            g = generate_pvt(300.0, np.random.default_rng(graph_seed), seed_count=n_cells)
+        except DegenerateTessellation:
+            assume(False)
+        eids = sorted(g.edges)
+        fraction = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        pairs = []
+        for kind in data.draw(st.lists(st.sampled_from(["same", "adjacent", "any"]),
+                                       min_size=1, max_size=30)):
+            e1 = g.edges[data.draw(st.sampled_from(eids))]
+            if kind == "same":
+                e2 = e1
+            elif kind == "adjacent":
+                e2 = g.edges[data.draw(st.sampled_from(
+                    [sid for x in (e1.u, e1.v) for _, _, sid in g.adjacency()[x] if sid != e1.id]))]
+            else:
+                e2 = g.edges[data.draw(st.sampled_from(eids))]
+            frm = data.draw(st.sampled_from(either_way(e1, data.draw(fraction))))
+            to = data.draw(st.sampled_from(either_way(e2, data.draw(fraction))))
+            pairs.append((frm, to))
+        paths = batched_paths(g, pairs)
+        assert paths == [shortest_path(g, frm, to) for frm, to in pairs]
+        assert all(type(x.p) is float for path in paths for x in (path.start, path.end))
+
+    def test_exact_ties_on_a_grid_fall_back(self, fallbacks):
+        # a 3 x 3 grid of 100 m streets that wraps around a 300 m torus: many
+        # routes between two streets tie exactly
+        ij = [(i, j) for i in range(3) for j in range(3)]
+        g = make_graph(150.0, {3 * i + j: (100.0 * i - 100.0, 100.0 * j - 100.0) for i, j in ij},
+                       [(3 * i + j, 3 * ((i + 1) % 3) + j) for i, j in ij]
+                       + [(3 * i + j, 3 * i + (j + 1) % 3) for i, j in ij])
+        pairs = [(StreetPosition(e1.id, e1.u, e1.v, p), StreetPosition(e2.id, e2.u, e2.v, 0.5))
+                 for e1 in g.edges.values() for e2 in g.edges.values() for p in (0.25, 0.5)]
+        assert batched_paths(g, pairs) == [shortest_path(g, frm, to) for frm, to in pairs]
+        assert 0 < len(fallbacks) < len(pairs)
+
+    @pytest.mark.parametrize("lengths, street, n_fallbacks", [
+        ((100.0, 100.0), 1, 1),  # equal: tied, shortest_path takes the smaller id
+        ((100.0, 150.0), 1, 0),
+        ((150.0, 100.0), 2, 0),  # the shorter parallel street has the larger id
+    ])
+    def test_parallel_streets(self, fallbacks, lengths, street, n_fallbacks):
+        # streets 1 and 2 both join crossings 0 and 1
+        vertices = {0: TorusPoint(0.0, 0.0), 1: TorusPoint(100.0, 0.0),
+                    2: TorusPoint(-100.0, 0.0), 3: TorusPoint(200.0, 0.0)}
+        edges = {eid: Street(eid, u, v, length, (vertices[v].x - vertices[u].x, 0.0), (0, 0))
+                 for eid, u, v, length in [(0, 2, 0, 100.0), (1, 0, 1, lengths[0]),
+                                           (2, 0, 1, lengths[1]), (3, 1, 3, 100.0)]}
+        g = StreetGraph(500.0, vertices, edges, {})
+        pairs = [(StreetPosition(0, 2, 0, 0.5), StreetPosition(3, 1, 3, 0.5))]
+        [path] = batched_paths(g, pairs)
+        assert path == shortest_path(g, *pairs[0])
+        assert path.streets == (0, street, 3)
+        assert len(fallbacks) == n_fallbacks
+
+    def test_rounding_near_tie_falls_back(self, fallbacks):
+        # from crossing 1, streets 1 + 2 (0.2 m + 0.1 m) and street 3 (0.3 m)
+        # reach crossing 3: in floats 0.2 + 0.1 > 0.3, but after the 0.5 m
+        # from the home, 0.5 + 0.2 + 0.1 < 0.5 + 0.3, so the order of the
+        # sums decides; the certificate hands the device to shortest_path
+        vertices = {k: TorusPoint(float(k), 0.0) for k in range(5)}
+        edges = {eid: Street(eid, u, v, length, (float(v - u), 0.0), (0, 0))
+                 for eid, u, v, length in [(0, 0, 1, 1.0), (1, 1, 2, 0.2), (2, 2, 3, 0.1),
+                                           (3, 1, 3, 0.3), (4, 3, 4, 1.0)]}
+        g = StreetGraph(500.0, vertices, edges, {})
+        pairs = [(StreetPosition(0, 0, 1, 0.5), StreetPosition(4, 3, 4, 0.5))]
+        [path] = batched_paths(g, pairs)
+        assert path == shortest_path(g, *pairs[0])
+        assert path.crossings == (1, 2, 3)
+        assert len(fallbacks) == 1
+
+    def test_long_detour_searches_again_with_a_larger_limit(self, fallbacks, monkeypatch):
+        # home and destination are 11 m apart, their street path is 195 m:
+        # beyond the first limit (the longest street, 100 m), within twice it
+        import streetsim.mobility as mobility
+
+        limits = []
+
+        def recorded(*args, limit, **kwargs):
+            limits.append(limit)
+            return dijkstra(*args, limit=limit, **kwargs)
+
+        monkeypatch.setattr(mobility, "dijkstra", recorded)
+        g = make_graph(500.0, {0: (0, 0), 1: (0, 100), 2: (10, 100), 3: (10, 0)},
+                       [(0, 1), (1, 2), (2, 3)])
+        pairs = [(StreetPosition(0, 0, 1, 0.05), StreetPosition(2, 2, 3, 0.9)),
+                 (StreetPosition(0, 0, 1, 0.5), StreetPosition(1, 1, 2, 0.5))]
+        assert batched_paths(g, pairs) == [shortest_path(g, frm, to) for frm, to in pairs]
+        assert limits == [100.0, 200.0]
+        assert not fallbacks
+
+    def test_disconnected_graph_raises(self):
+        g = StreetGraph.from_json_dict({
+            "L": 500.0,
+            "vertices": [{"id": k, "x": x, "y": y}
+                         for k, (x, y) in enumerate([(0, 0), (100, 0), (0, 200), (100, 200)])],
+            "edges": [{"id": 0, "u": 0, "v": 1, "length": 100.0},
+                      {"id": 1, "u": 2, "v": 3, "length": 100.0}],
+            "cells": [],
+        })
+        frm = StreetPosition(0, 0, 1, 0.5)
+        to = StreetPosition(1, 2, 3, 0.5)
+        with pytest.raises(ValueError, match="street graph is disconnected; no path exists"):
+            shortest_path(g, frm, to)
+        with pytest.raises(ValueError, match="street graph is disconnected; no path exists"):
+            batched_paths(g, [(frm, StreetPosition(0, 0, 1, 0.9)), (frm, to)])
+
+    def test_no_devices(self, single_street_graph):
+        assert batched_paths(single_street_graph, []) == []
+
+
 class TestPositionAt:
     def _device(self, g, p, v):
         e = g.edges[0]
@@ -577,7 +725,7 @@ class TestDeviceMotionState:
         for k, d in enumerate(devices):
             dest = (d.home if k % 3 == 0
                     else sample_destination_kappa_prime([d.home], 60.0, g, idx, rng)[0])
-            assign_commute(d, dest, 1.0, g)
+            assign_commute([d], [dest], [1.0], g)
             assert consistent(d)
             twin = d.clone()
             assert consistent(twin) and twin.moving == d.moving

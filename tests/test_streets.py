@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from streetsim.streets import (
+    DegenerateTessellation,
     StreetGraph,
     VoronoiCell,
+    _nearest_seed_cells,
     build_cell_index,
     build_from_seeds,
     calibrate_seed_intensity,
@@ -39,6 +41,22 @@ class TestGeneratePVT:
             generate_pvt(1000.0, rng, seed_count=1)
         with pytest.raises(ValueError):
             generate_pvt(1000.0, rng, seed_count=2)
+
+    def test_poisson_count_below_three_resampled(self):
+        # a 150 m torus at 20 km/km^2 expects 2.25 seeds: a draw below 3 is a
+        # rejected tessellation, never a ValueError
+        lam = calibrate_seed_intensity(20.0) * 1e-6 * 150.0 ** 2
+        resampled = 0
+        for seed in range(40):
+            try:
+                g = generate_pvt(75.0, np.random.default_rng(seed), street_intensity=20.0)
+            except DegenerateTessellation:
+                continue
+            assert len(g.cells) >= 3
+            resampled += np.random.default_rng(seed).poisson(lam) < 3
+        assert resampled > 0
+        with pytest.raises(DegenerateTessellation, match="after 20 attempts"):
+            generate_pvt(350.0, np.random.default_rng(0), street_intensity=1e-6)
 
     def test_structure_100_seeds(self, rng):
         g = generate_pvt(1000.0, rng, seed_count=100)
@@ -208,6 +226,43 @@ class TestProjection:
             d_brute, eid_brute, t_brute = brute_force_projection(p, g)
             assert pos.street == eid_brute == 0
             assert pos.p == t_brute
+
+
+def walk_nearest_cell(p, g, idx):
+    """The nearest seed among the candidate cells, ties to the smaller id, one by one."""
+    return min((torus_distance(p, g.cells[cid].seed, g.L), cid) for cid in idx.lookup(p))[1]
+
+
+class TestNearestSeedCells:
+    def test_matches_walk_over_candidates(self, rng):
+        g = generate_pvt(700.0, rng, seed_count=30)
+        idx = build_cell_index(g)
+        seeds = np.array([tuple(g.cells[c].seed) for c in sorted(g.cells)])
+        # random points, street points and seed midpoints: the last two lie
+        # (up to rounding) at equal distance from two seeds
+        streets = [wrap((g.vertices[e.u].x + t * e.delta[0],
+                         g.vertices[e.u].y + t * e.delta[1]), g.L)
+                   for e in g.edges.values() for t in (0.0, 0.5)]
+        mids = [wrap((a + b) / 2.0, g.L) for a, b in zip(seeds, seeds[1:])]
+        pts = np.vstack([rng.uniform(-g.L, g.L, size=(500, 2)),
+                         np.array([tuple(p) for p in streets + mids])])
+        expected = [walk_nearest_cell(p, g, idx) for p in pts.tolist()]
+        assert _nearest_seed_cells(pts, g, idx) == expected
+
+    @pytest.mark.parametrize("first_seed, right", [((10.0, 0.0), 0), ((-10.0, 0.0), 1)])
+    def test_exact_tie_goes_to_smaller_cell_id(self, monkeypatch, first_seed, right):
+        # (0, 5) is as far from both seeds, (3, 1) nearer the right one
+        import streetsim.streets as streets
+
+        g = make_graph(500.0, {0: (0.0, 50.0), 1: (0.0, -50.0)}, [(0, 1)])
+        g.cells = {0: VoronoiCell(0, TorusPoint(*first_seed), [0]),
+                   1: VoronoiCell(1, TorusPoint(-first_seed[0], 0.0), [0])}
+        idx = build_cell_index(g, cell_size=250.0)
+        measured = []
+        monkeypatch.setattr(streets, "torus_distance",
+                            lambda p, q, L: measured.append(q) or torus_distance(p, q, L))
+        assert _nearest_seed_cells(np.array([[0.0, 5.0], [3.0, 1.0]]), g, idx) == [0, right]
+        assert len(measured) == 2  # only the tied point is measured again
 
 
 class TestTotalLength:
