@@ -15,10 +15,8 @@ from .config import ExperimentConfig, load_config, parse_config, rng_streams, va
 from .discrete import DiscreteConfig, simulate_discrete
 from .engine import (
     ConnectionGraph,
-    ContactEdge,
     Event,
     EventKind,
-    EventQueue,
     SimulationState,
     compute_contact_interval,
     derived_connection_graph,

@@ -7,22 +7,19 @@ is updated when it fires.  Per pair of devices sharing a street the engine
 keeps the analytically solved contact interval; a connection is established
 once a contact has lasted longer than the connection time rho.
 
-The queue is a binary heap of raw ``(time, kind, device)`` tuples, with
-device ``-1`` for the events that belong to no device.  It holds one more
-event, FINISH at the horizon T.  FINISH discards every pending movement and
-leaves a single GLOBAL_UPDATE at T, which brings all positions to T and
-evaluates the contacts still running.  Events at the same instant fire in
-the numeric order of their kinds, then by device id.
+The queue is ``state.heap``, a binary heap of raw ``(time, kind, device)``
+tuples.  :func:`run` handles every event with time <= T; events at one
+instant fire crossings before destinations, then by device id.  Then a
+single close-out at T brings all positions to T, applies the connection
+rule to the contacts still running and logs their history up to T.
 
-:class:`Event` objects exist only at the edges: the trace hook receives
-one, the once-per-run GLOBAL_UPDATE and FINISH handlers take one,
-:meth:`EventQueue.push` takes one and :meth:`EventQueue.pop` and
-:meth:`EventQueue.snapshot` return them.  Crossing and destination events,
-nearly all of a run, never become objects.  When ``state.trace`` is set,
-:func:`run` calls ``state.trace(ev, state)`` once per event, after the clock
-has moved to ``ev.time`` and before the event is handled; ``ev.kind`` is an
-:class:`EventKind` (an int, usable as an index) and ``ev.device`` is
-``None`` for kinds 5 and 6.  The hook is read once, when ``run`` starts.
+When ``state.trace`` is set, :func:`run` calls ``state.trace(ev, state)``
+with an :class:`Event` once per event, after the clock has moved to
+``ev.time`` and before the event is handled; ``ev.kind`` is an
+:class:`EventKind` (an int, usable as an index).  The close-out passes two
+more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
+``None``.  The hook is read once, when ``run`` starts; without one no
+:class:`Event` is built.
 
 With ``initialize(record_history=True)`` every maximal same-street contact
 interval is logged, from which :func:`derived_connection_graph` rebuilds the
@@ -46,26 +43,21 @@ from .streets import Street, StreetGraph, StreetPosition
 __all__ = [
     "EventKind",
     "Event",
-    "EventQueue",
-    "ContactEdge",
     "ConnectionGraph",
     "SimulationState",
     "compute_contact_interval",
     "try_establish",
     "merge_reversal_interval",
     "initialize",
-    "init_queue",
-    "handle_global_update",
-    "handle_finish",
     "run",
     "derived_connection_graph",
 ]
 
 
 class EventKind(IntEnum):
-    """Event kinds; the values are written to trace files and also set the
-    same-instant order: street/destination transitions first, then the
-    global evaluation, and Finish last."""
+    """Event kinds, as written to trace files.  Movement events at one
+    instant fire in this order; the close-out's two records (FINISH, then
+    GLOBAL_UPDATE) come after every event at T."""
 
     REACH_CROSSING = 3
     REACH_DESTINATION = 4
@@ -76,58 +68,13 @@ class EventKind(IntEnum):
 # plain ints for the heap tuples and the dispatch in run
 _CROSSING = int(EventKind.REACH_CROSSING)
 _DESTINATION = int(EventKind.REACH_DESTINATION)
-_GLOBAL_UPDATE = int(EventKind.GLOBAL_UPDATE)
-_KINDS = {int(k): k for k in EventKind}
+_KINDS = {_CROSSING: EventKind.REACH_CROSSING, _DESTINATION: EventKind.REACH_DESTINATION}
 
 
 class Event(NamedTuple):
     time: float
     kind: EventKind
     device: int | None = None
-
-
-class EventQueue:
-    """Events ordered by (time, kind, device id).
-
-    ``heap`` is a binary heap of raw ``(time, kind, device)`` tuples with
-    device -1 for events of no device; :func:`run` works on it directly.
-    """
-
-    __slots__ = ("heap",)
-
-    def __init__(self):
-        self.heap: list[tuple[float, int, int]] = []
-
-    def __len__(self):
-        return len(self.heap)
-
-    def push(self, ev: Event) -> None:
-        dev = ev.device if ev.device is not None else -1
-        heappush(self.heap, (ev.time, int(ev.kind), dev))
-
-    def pop(self) -> Event:
-        return _event(*heappop(self.heap))
-
-    def clear(self) -> None:
-        self.heap.clear()
-
-    def snapshot(self) -> list[Event]:
-        return [_event(*item) for item in sorted(self.heap)]
-
-
-def _event(t: float, kind: int, dev: int) -> Event:
-    return Event(t, _KINDS[kind], dev if dev >= 0 else None)
-
-
-@dataclass(slots=True)
-class ContactEdge:
-    """Contact bookkeeping for one device pair currently sharing a street."""
-
-    a: int
-    b: int
-    c_min: float
-    c_max: float  # may be +inf
-    connection: bool = False
 
 
 @dataclass(frozen=True)
@@ -214,15 +161,10 @@ def compute_contact_interval(
     return (t_now + max(lo, 0.0), t_now + hi)
 
 
-def try_establish(edge: ContactEdge, t: float, rho: float) -> bool:
-    """Mark the connection established if the contact has outlasted rho.
-
-    Applies min(c_max, t) - c_min > rho (strict); once established the flag
-    never reverts.
-    """
-    if not edge.connection and min(edge.c_max, t) - edge.c_min > rho:
-        edge.connection = True
-    return edge.connection
+def try_establish(interval: tuple[float, float], t: float, rho: float) -> bool:
+    """The connection rule: a contact [c_min, c_max] seen at time t has
+    outlasted rho iff min(c_max, t) - c_min > rho (strict)."""
+    return min(interval[1], t) - interval[0] > rho
 
 
 def merge_reversal_interval(
@@ -262,9 +204,10 @@ class SimulationState:
     rho: float
     T: float
     time: float = 0.0
-    queue: EventQueue = field(default_factory=EventQueue)
-    active: dict[tuple[int, int], ContactEdge] = field(default_factory=dict)
-    established: set[tuple[int, int]] = field(default_factory=set)
+    heap: list[tuple[float, int, int]] = field(default_factory=list)
+    # running contacts: pair -> (c_min, c_max), c_max possibly +inf
+    active: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
+    established: set[tuple[int, int]] = field(default_factory=set)  # only ever added to
     record_history: bool = False
     history: list[tuple[int, int, float, float]] = field(default_factory=list)
     track_gaps: bool = False
@@ -281,20 +224,15 @@ class SimulationState:
         )
 
 
-def _log_history(state: SimulationState, pair, edge: ContactEdge, until: float) -> None:
-    if not state.record_history:
-        return
-    w = min(edge.c_max, until)
-    if w > edge.c_min:
-        state.history.append((pair[0], pair[1], edge.c_min, w))
-
-
-def _evaluate(state: SimulationState, pair, edge: ContactEdge, t: float) -> None:
-    if pair in state.established:
-        edge.connection = True
-        return
-    if try_establish(edge, t, state.rho):
+def _settle(state: SimulationState, pair, interval: tuple[float, float], t: float) -> None:
+    """Apply the connection rule to a contact that stops at t and log it up to t."""
+    if try_establish(interval, t, state.rho):
         state.established.add(pair)
+    if state.record_history:
+        c_min, c_max = interval
+        w = min(c_max, t)
+        if w > c_min:
+            state.history.append((pair[0], pair[1], c_min, w))
 
 
 def _gap_open(state: SimulationState, pair, street, t: float) -> None:
@@ -339,12 +277,13 @@ def initialize(
     record_history: bool = False,
     track_gaps: bool = False,
 ) -> SimulationState:
-    """Set up run state: street occupancy, initial contacts and the queue.
+    """Set up run state: street occupancy, initial contacts and the queue,
+    which holds one movement event per moving device.
 
     Street device sets are reset from the devices' positions, so a graph can
     be reused across runs as long as each run gets its own device clones.
     """
-    if T <= 0:
+    if not 0 < T < math.inf:
         raise ValueError("time horizon must be positive")
     graph.clear_devices()
     dev_map: dict[int, Device] = {}
@@ -368,28 +307,22 @@ def initialize(
                 d_i, d_j = dev_map[di_id], dev_map[dj_id]
                 interval = compute_contact_interval(d_i, d_j, street, 0.0, r)
                 if interval is not None:
-                    state.active[pair] = ContactEdge(di_id, dj_id, interval[0], interval[1])
+                    state.active[pair] = interval
                 if track_gaps:
                     _gap_open(state, pair, street, 0.0)
-    init_queue(state)
-    return state
-
-
-def init_queue(state: SimulationState) -> None:
-    """One movement event per moving device plus the Finish event at T."""
-    heap = state.queue.heap
-    for did in sorted(state.devices):
-        d = state.devices[did]
+    for did in sorted(dev_map):
+        d = dev_map[did]
         if d.moving:
-            _schedule(heap, d, 0.0)
-    heappush(heap, (state.T, int(EventKind.FINISH), -1))
+            _schedule(state.heap, d, 0.0)
+    return state
 
 
 # -- handlers --------------------------------------------------------------------
 #
 # The two movement handlers run once per event and carry the hot path: the
-# contact bookkeeping of leaving and entering a street, advancing residents
-# and solving contact windows, is written out in them rather than called.
+# contact bookkeeping of entering a street, advancing residents and solving
+# contact windows, is written out in them rather than called.  A contact
+# that stops is settled by _settle, as at the close-out.
 # Street device sets are walked unsorted; nothing the walk produces depends
 # on its order (history is sorted on write, graphs are frozensets).
 
@@ -406,30 +339,19 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
         )
     edges = state.graph.edges
     active = state.active
-    established = state.established
     track_gaps = state.track_gaps
     did = d.id
 
-    # leave: resolve contacts with everyone left behind
+    # leave: settle contacts with everyone left behind
     members = edges[streets[leg]].devices
     members.discard(did)
-    if members:
-        rho = state.rho
-        history = state.history if state.record_history else None
-        for oid in members:
-            pair = (did, oid) if did < oid else (oid, did)
-            edge = active.pop(pair, None)
-            if edge is not None:
-                # the edge is dropped, so only ``established`` keeps the
-                # outcome of the connection rule (try_establish's test)
-                c_min = edge.c_min
-                w = min(edge.c_max, t)
-                if w - c_min > rho and pair not in established:
-                    established.add(pair)
-                if history is not None and w > c_min:
-                    history.append((pair[0], pair[1], c_min, w))
-            if track_gaps:
-                _gap_close(state, pair, t)
+    for oid in members:
+        pair = (did, oid) if did < oid else (oid, did)
+        interval = active.pop(pair, None)
+        if interval is not None:
+            _settle(state, pair, interval, t)
+        if track_gaps:
+            _gap_close(state, pair, t)
 
     # enter at p = 0, moving from the crossing towards the street's other end
     crossing = path.crossings[leg]
@@ -485,18 +407,17 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
                 if not lo <= hi:
                     lo, hi = hi, lo
                 if not hi < 0.0:
-                    active[pair] = ContactEdge(pair[0], pair[1], t + max(lo, 0.0), t + hi,
-                                               pair in established)
+                    active[pair] = (t + max(lo, 0.0), t + hi)
             elif abs(a) <= r:  # parallel and in contact: [t, inf)
-                active[pair] = ContactEdge(pair[0], pair[1], t, math.inf, pair in established)
+                active[pair] = (t, math.inf)
             if track_gaps:
                 _gap_open(state, pair, street, t)
     members.add(did)
     # _schedule's times for p = 0, where (x - 0.0) and (1.0 - 0.0) * x are x
     if leg == last:
-        heappush(state.queue.heap, (t + path.end.p * length / v, _DESTINATION, did))
+        heappush(state.heap, (t + path.end.p * length / v, _DESTINATION, did))
     else:
-        heappush(state.queue.heap, (t + length / v, _CROSSING, did))
+        heappush(state.heap, (t + length / v, _CROSSING, did))
 
 
 def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
@@ -515,74 +436,62 @@ def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
         win = _solve_window(*_relative_line(d, devices[oid], street, t), r)
         new_abs = None if win is None else (t + win[0], t + win[1])
         pair = (did, oid) if did < oid else (oid, did)
-        edge = active.get(pair)
-        if edge is not None:
-            _evaluate(state, pair, edge, t)
-            merged = merge_reversal_interval((edge.c_min, edge.c_max), new_abs, t)
+        interval = active.get(pair)
+        if interval is not None:
+            merged = merge_reversal_interval(interval, new_abs, t)
+            # a contact that goes on (same start) is settled when it stops
+            if merged is None or merged[0] != interval[0]:
+                _settle(state, pair, interval, t)
             if merged is None:
-                _log_history(state, pair, edge, t)
                 del active[pair]
-            elif merged[0] == edge.c_min:
-                edge.c_max = merged[1]
             else:
-                _log_history(state, pair, edge, t)
-                edge.c_min, edge.c_max = merged
+                active[pair] = merged
         elif new_abs is not None and new_abs[1] >= t:
-            active[pair] = ContactEdge(pair[0], pair[1], max(new_abs[0], t), new_abs[1],
-                                       pair in state.established)
+            active[pair] = (max(new_abs[0], t), new_abs[1])
         if state.track_gaps:
             _gap_close(state, pair, t)
             _gap_open(state, pair, street, t)
     if d.moving:
-        _schedule(state.queue.heap, d, t)
-
-
-def handle_global_update(ev: Event, state: SimulationState) -> None:
-    """Materialize all positions at the event time and re-evaluate contacts."""
-    t = ev.time
-    for did in sorted(state.devices):
-        advance_to(state.devices[did], t)
-    for pair in sorted(state.active):
-        _evaluate(state, pair, state.active[pair], t)
-
-
-def handle_finish(ev: Event, state: SimulationState) -> None:
-    """Replace the whole queue with one final global update at T."""
-    state.queue.clear()
-    state.queue.push(Event(ev.time, EventKind.GLOBAL_UPDATE))
+        _schedule(state.heap, d, t)
 
 
 def run(state: SimulationState) -> ConnectionGraph:
-    """Drain the event queue and return the connection graph.
+    """Handle every event up to the horizon T, close out at T and return
+    the connection graph.
 
-    Identical inputs (same sampled geometry, devices and parameters) produce
-    a bitwise-identical result.
+    The close-out brings every device to T and settles every contact still
+    running: the connection rule at T, and history up to T.  Identical
+    inputs (same sampled geometry, devices and parameters) produce a
+    bitwise-identical result.
     """
-    heap = state.queue.heap
+    heap = state.heap
     devices = state.devices
     trace = state.trace
+    T = state.T
     now = state.time
-    while heap:
+    while heap and heap[0][0] <= T:
         t, kind, dev = heappop(heap)
         if t < now - 1e-9:
             raise RuntimeInvariantError(f"event time regression: {t} after {now}")
         state.time = now = t
         if trace is not None:
-            trace(_event(t, kind, dev), state)
+            trace(Event(t, _KINDS[kind], dev), state)
         if kind == _CROSSING:
             _reach_crossing(state, devices[dev], t)
-        elif kind == _DESTINATION:
-            _reach_destination(state, devices[dev], t)
-        elif kind == _GLOBAL_UPDATE:
-            handle_global_update(_event(t, kind, dev), state)
         else:
-            handle_finish(_event(t, kind, dev), state)
-    # close out contacts still running at the horizon
-    for pair in sorted(state.active):
-        edge = state.active[pair]
-        _log_history(state, pair, edge, state.time)
+            _reach_destination(state, devices[dev], t)
+    state.time = T
+    if trace is not None:
+        trace(Event(T, EventKind.FINISH), state)
+        trace(Event(T, EventKind.GLOBAL_UPDATE), state)
+    heap.clear()
+    for did in sorted(devices):
+        advance_to(devices[did], T)
+    active = state.active
+    for pair in sorted(active):
+        _settle(state, pair, active[pair], T)
         if state.track_gaps:
-            _gap_close(state, pair, state.time)
+            _gap_close(state, pair, T)
     return state.connection_graph()
 
 

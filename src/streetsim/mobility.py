@@ -73,12 +73,6 @@ class Path:
     def is_stationary(self) -> bool:
         return self.n_legs == 1 and self.start == self.end
 
-    def entries(self) -> list:
-        """Bracket form [(v0, v1, p), v1, ..., v_{n-1}, (v_{n-1}, v_n, q)]."""
-        head = (self.start.v1, self.start.v2, self.start.p)
-        tail = (self.end.v1, self.end.v2, self.end.p)
-        return [head, *self.crossings, tail]
-
     def reverse(self) -> "Path":
         """The same route traveled backwards, fractions complemented."""
         return Path(

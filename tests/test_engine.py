@@ -5,13 +5,9 @@ import pytest
 
 from streetsim.config import build_seed_state, parse_config
 from streetsim.engine import (
-    ContactEdge,
-    Event,
     EventKind,
-    EventQueue,
     compute_contact_interval,
     derived_connection_graph,
-    handle_finish,
     initialize,
     merge_reversal_interval,
     run,
@@ -111,22 +107,29 @@ class TestContactInterval:
 
 class TestTryEstablish:
     def test_established_when_elapsed_exceeds_rho(self):
-        e = ContactEdge(0, 1, 40.0, 60.0)
-        assert try_establish(e, 55.0, 10.0) is True
-        assert e.connection
+        assert try_establish((40.0, 60.0), 55.0, 10.0) is True
 
     def test_not_established_too_early(self):
-        e = ContactEdge(0, 1, 40.0, 60.0)
-        assert try_establish(e, 45.0, 10.0) is False
+        assert try_establish((40.0, 60.0), 45.0, 10.0) is False
 
     def test_zero_rho_needs_strictly_positive_elapsed(self):
-        e = ContactEdge(0, 1, 40.0, 60.0)
-        assert try_establish(e, 40.0, 0.0) is False
-        assert try_establish(e, 40.5, 0.0) is True
+        assert try_establish((40.0, 60.0), 40.0, 0.0) is False
+        assert try_establish((40.0, 60.0), 40.5, 0.0) is True
 
-    def test_sticky(self):
-        e = ContactEdge(0, 1, 40.0, 60.0, connection=True)
-        assert try_establish(e, 41.0, 10.0) is True
+
+def traced_run(state, hook=None):
+    """Run ``state`` and return the trace as (time, kind, device) tuples;
+    ``hook``, if given, is called after each record."""
+    seen = []
+
+    def record(ev, st):
+        seen.append(tuple(ev))
+        if hook is not None:
+            hook(ev, st)
+
+    state.trace = record
+    run(state)
+    return seen
 
 
 class TestQueueAndInit:
@@ -134,19 +137,24 @@ class TestQueueAndInit:
         g = make_graph(500.0, {0: (0, 0), 1: (200, 0), 2: (200, 100)}, [(0, 1), (1, 2)])
         d = make_device(0, g, StreetPosition(0, 0, 1, 0.25), StreetPosition(1, 1, 2, 0.9), 2.0)
         state = initialize(g, [d], r=5.0, rho=1.0, T=300.0)
-        events = state.queue.snapshot()
-        assert events[0] == Event(75.0, EventKind.REACH_CROSSING, 0)
+        assert sorted(state.heap) == [(75.0, EventKind.REACH_CROSSING, 0)]
 
     def test_destination_event_time_same_street(self):
         g = make_graph(500.0, {0: (0, 0), 1: (200, 0)}, [(0, 1)])
         d = make_device(0, g, StreetPosition(0, 0, 1, 0.25), StreetPosition(0, 0, 1, 0.75), 2.0)
         state = initialize(g, [d], r=5.0, rho=1.0, T=300.0)
-        events = state.queue.snapshot()
-        assert events[0] == Event(50.0, EventKind.REACH_DESTINATION, 0)
+        assert sorted(state.heap) == [(50.0, EventKind.REACH_DESTINATION, 0)]
 
     def test_finish_event_present(self):
+        # the queue holds movement events only; FINISH and GLOBAL_UPDATE are
+        # the close-out's two records, the last the trace hook sees
         g, state = two_device_scenario(T=300.0)
-        assert Event(300.0, EventKind.FINISH, None) in state.queue.snapshot()
+        assert sorted(state.heap) == [(100.0, EventKind.REACH_DESTINATION, 0),
+                                      (100.0, EventKind.REACH_DESTINATION, 1)]
+        seen = traced_run(state)
+        assert seen[-2:] == [(300.0, EventKind.FINISH, None),
+                             (300.0, EventKind.GLOBAL_UPDATE, None)]
+        assert {kind for _, kind, _ in seen[:-2]} == {EventKind.REACH_DESTINATION}
 
     def test_stationary_devices_contribute_no_events(self, single_street_graph):
         g = single_street_graph
@@ -154,23 +162,33 @@ class TestQueueAndInit:
         d = make_device(0, g, home, home, 1.0)
         assert not d.moving
         state = initialize(g, [d], r=5.0, rho=1.0, T=100.0)
-        assert [e.kind for e in state.queue.snapshot()] == [EventKind.FINISH]
+        assert state.heap == []
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_horizon_outside_zero_to_inf(self, T, single_street_graph):
+        d = make_device(0, single_street_graph, StreetPosition(0, 0, 1, 0.0),
+                        StreetPosition(0, 0, 1, 1.0), 1.0)
+        with pytest.raises(ValueError, match="time horizon must be positive"):
+            initialize(single_street_graph, [d], r=5.0, rho=1.0, T=T)
 
     def test_same_instant_kind_order(self):
-        q = EventQueue()
-        t = 5.0
-        for kind in (EventKind.FINISH, EventKind.GLOBAL_UPDATE,
-                     EventKind.REACH_DESTINATION, EventKind.REACH_CROSSING):
-            q.push(Event(t, kind, 7))
-        kinds = [q.pop().kind for _ in range(len(q))]
-        assert kinds == [EventKind.REACH_CROSSING, EventKind.REACH_DESTINATION,
-                         EventKind.GLOBAL_UPDATE, EventKind.FINISH]
+        # at t = 50 device 0 reaches its destination and device 1 a crossing;
+        # the crossing fires first although its device id is the larger
+        g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (100, 80)}, [(0, 1), (1, 2)])
+        d0 = make_device(0, g, StreetPosition(0, 0, 1, 0.0), StreetPosition(0, 0, 1, 0.5), 1.0)
+        d1 = make_device(1, g, StreetPosition(0, 0, 1, 0.5), StreetPosition(1, 1, 2, 0.5), 1.0)
+        seen = traced_run(initialize(g, [d0, d1], r=5.0, rho=1.0, T=60.0))
+        assert [ev for ev in seen if ev[0] == 50.0] == [
+            (50.0, EventKind.REACH_CROSSING, 1), (50.0, EventKind.REACH_DESTINATION, 0)]
 
     def test_tie_break_by_device_id(self):
-        q = EventQueue()
-        q.push(Event(5.0, EventKind.REACH_CROSSING, 9))
-        q.push(Event(5.0, EventKind.REACH_CROSSING, 2))
-        assert q.pop().device == 2
+        # devices 9 and 2 both reach crossing 1 at t = 50
+        g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (100, 80)}, [(0, 1), (1, 2)])
+        d9 = make_device(9, g, StreetPosition(0, 0, 1, 0.5), StreetPosition(1, 1, 2, 0.5), 1.0)
+        d2 = make_device(2, g, StreetPosition(0, 0, 1, 0.0), StreetPosition(1, 1, 2, 0.5), 2.0)
+        seen = traced_run(initialize(g, [d9, d2], r=5.0, rho=1.0, T=60.0))
+        assert [ev for ev in seen if ev[0] == 50.0] == [
+            (50.0, EventKind.REACH_CROSSING, 2), (50.0, EventKind.REACH_CROSSING, 9)]
 
 
 class TestMergeRule:
@@ -245,45 +263,55 @@ class TestHandlers:
         assert (130.0, EventKind.REACH_CROSSING) in times
         assert (180.0, EventKind.REACH_DESTINATION) in times
 
-    def test_global_update_at_zero_is_noop(self):
-        g, state = two_device_scenario(T=120.0)
-        state.queue.push(Event(0.0, EventKind.GLOBAL_UPDATE))
-        cg = run(state)
-        assert cg.edges == frozenset({(0, 1)})
-
     def test_global_update_mid_contact_establishes(self):
-        # rho=10, update at t=51: elapsed 11 s of the [40, 60] contact
-        g, state = two_device_scenario(T=55.0, rho=10.0)
-        state.queue.push(Event(51.0, EventKind.GLOBAL_UPDATE))
-        seen = []
-        state.trace = lambda ev, st: seen.append(
-            (ev.time, ev.kind, frozenset(st.established)))
-        run(state)
-        after_51 = [s for t, k, s in seen if t > 51.0]
-        assert all((0, 1) in s for s in after_51)
+        # the close-out at T applies the rule to the running [40, 60]
+        # contact: 11 s elapsed at T = 51 exceeds rho = 10, 9 s at T = 49 not
+        _, state = two_device_scenario(T=51.0, rho=10.0)
+        assert run(state).edges == frozenset({(0, 1)})
+        _, state = two_device_scenario(T=49.0, rho=10.0)
+        assert run(state).edges == frozenset()
 
     def test_global_update_materializes_positions(self):
         g, state = two_device_scenario(T=80.0)
-        state.queue.push(Event(30.0, EventKind.GLOBAL_UPDATE))
-
         checks = []
-
-        def trace(ev, st):
-            if ev.kind == EventKind.GLOBAL_UPDATE and ev.time == 30.0:
-                return
-            checks.append(all(st.devices[d].time_of_pos <= ev.time for d in st.devices))
-
-        state.trace = trace
+        state.trace = lambda ev, st: checks.append(
+            all(d.time_of_pos <= ev.time for d in st.devices.values()))
         run(state)
-        assert all(checks)
+        assert checks and all(checks)
         for d in state.devices.values():
             assert d.time_of_pos == 80.0
+            assert d.pos.p == 0.8
+        assert state.heap == []
 
     def test_finish_replaces_queue(self):
+        # both devices turn at t = 100, after the horizon: those pending
+        # events never fire and the close-out empties the queue
         g, state = two_device_scenario(T=50.0)
-        handle_finish(Event(50.0, EventKind.FINISH), state)
-        snap = state.queue.snapshot()
-        assert snap == [Event(50.0, EventKind.GLOBAL_UPDATE, None)]
+        assert traced_run(state) == [(50.0, EventKind.FINISH, None),
+                                     (50.0, EventKind.GLOBAL_UPDATE, None)]
+        assert state.heap == []
+        assert all(d.pos.p == 0.5 for d in state.devices.values())
+
+    def test_event_at_horizon_fires_before_close_out(self):
+        # both devices turn at exactly T = 100; the turns are traced and
+        # handled (the [40, 60] contact settled, new events pushed) before
+        # the close-out's two records
+        g, state = two_device_scenario(T=100.0, record_history=True)
+        at_finish = []
+
+        def hook(ev, st):
+            if ev.kind == EventKind.FINISH:
+                at_finish.append((set(st.established), list(st.history), sorted(st.heap)))
+
+        seen = traced_run(state, hook)
+        assert seen == [(100.0, EventKind.REACH_DESTINATION, 0),
+                        (100.0, EventKind.REACH_DESTINATION, 1),
+                        (100.0, EventKind.FINISH, None),
+                        (100.0, EventKind.GLOBAL_UPDATE, None)]
+        assert at_finish == [({(0, 1)}, [(0, 1, 40.0, 60.0)],
+                              [(200.0, EventKind.REACH_DESTINATION, 0),
+                               (200.0, EventKind.REACH_DESTINATION, 1)])]
+        assert state.heap == []
 
 
 class TestRun:

@@ -705,9 +705,9 @@ class TestReversePath:
             streets,
         )
         r = path.reverse()
-        assert r.entries()[0] == (verts[n], verts[n - 1], 1.0 - q)
-        assert r.entries()[1:-1] == list(reversed(verts[1:n]))
-        assert r.entries()[-1] == (verts[1], verts[0], 1.0 - p)
+        assert (r.start.v1, r.start.v2, r.start.p) == (verts[n], verts[n - 1], 1.0 - q)
+        assert list(r.crossings) == list(reversed(verts[1:n]))
+        assert (r.end.v1, r.end.v2, r.end.p) == (verts[1], verts[0], 1.0 - p)
 
 
 class TestDeviceMotionState:
