@@ -106,6 +106,9 @@ def _emit_side_outputs(cfg: ExperimentConfig, out_dir: FsPath, seed: int, state)
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = _load_valid_config(args.config)
         if args.seed_offset:

@@ -2,7 +2,8 @@
 
 Steps the whole system in fixed slices of size eps, the approach the event
 engine replaces.  It exists purely as a verification fixture: away from
-decision boundaries (contact durations near rho, gaps near r) it must agree
+decision boundaries (contact durations near rho, from the engine's history,
+and minimum gaps near r, from the contact oracle in the tests) it must agree
 with the event engine exactly, and its cost O(T/eps * devices) documents the
 trade-off that motivates event-driven simulation.
 """

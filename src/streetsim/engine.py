@@ -24,6 +24,12 @@ more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
 With ``initialize(record_history=True)`` every maximal same-street contact
 interval is logged, from which :func:`derived_connection_graph` rebuilds the
 connection graph for any (T', rho') with T' <= T.
+
+Contacts never feed back into motion, so ``tests/contact_oracle.py``
+rebuilds the whole history without events, from each device's own commute
+and per-street geometry; the tests require the engine's history to be the
+oracle's (i, j) multiset with endpoints within 1e-9 s, and the same
+established set.
 """
 
 from __future__ import annotations
@@ -189,13 +195,6 @@ def merge_reversal_interval(
 # -- simulation state ----------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _GapSegment:
-    t0: float
-    a: float
-    b: float
-
-
 @dataclass
 class SimulationState:
     graph: StreetGraph
@@ -210,9 +209,6 @@ class SimulationState:
     established: set[tuple[int, int]] = field(default_factory=set)  # only ever added to
     record_history: bool = False
     history: list[tuple[int, int, float, float]] = field(default_factory=list)
-    track_gaps: bool = False
-    gap_segments: dict[tuple[int, int], _GapSegment] = field(default_factory=dict)
-    min_gaps: dict[tuple[int, int], float] = field(default_factory=dict)
     trace: object = None  # callable(Event, SimulationState) or None
     # ``history`` as columns for derived graphs, built on first use
     _history_columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -233,24 +229,6 @@ def _settle(state: SimulationState, pair, interval: tuple[float, float], t: floa
         w = min(c_max, t)
         if w > c_min:
             state.history.append((pair[0], pair[1], c_min, w))
-
-
-def _gap_open(state: SimulationState, pair, street, t: float) -> None:
-    a, b = _relative_line(state.devices[pair[0]], state.devices[pair[1]], street, t)
-    state.gap_segments[pair] = _GapSegment(t, a, b)
-
-
-def _gap_close(state: SimulationState, pair, t: float) -> None:
-    seg = state.gap_segments.pop(pair, None)
-    if seg is None:
-        return
-    dt = t - seg.t0
-    g0 = abs(seg.a)
-    g1 = abs(seg.a + seg.b * dt)
-    gmin = 0.0 if (seg.a <= 0.0 <= seg.a + seg.b * dt or seg.a >= 0.0 >= seg.a + seg.b * dt) else min(g0, g1)
-    prev = state.min_gaps.get(pair)
-    if prev is None or gmin < prev:
-        state.min_gaps[pair] = gmin
 
 
 # -- initialization -------------------------------------------------------------
@@ -275,7 +253,6 @@ def initialize(
     rho: float,
     T: float,
     record_history: bool = False,
-    track_gaps: bool = False,
 ) -> SimulationState:
     """Set up run state: street occupancy, initial contacts and the queue,
     which holds one movement event per moving device.
@@ -294,22 +271,16 @@ def initialize(
         street.devices.add(d.id)
         d.street_length = street.length
         dev_map[d.id] = d
-    state = SimulationState(
-        graph=graph, devices=dev_map, r=r, rho=rho, T=T,
-        record_history=record_history, track_gaps=track_gaps,
-    )
+    state = SimulationState(graph=graph, devices=dev_map, r=r, rho=rho, T=T,
+                            record_history=record_history)
     for eid in sorted(graph.edges):
         street = graph.edges[eid]
         ids = sorted(street.devices)
         for i, di_id in enumerate(ids):
             for dj_id in ids[i + 1:]:
-                pair = (di_id, dj_id)
-                d_i, d_j = dev_map[di_id], dev_map[dj_id]
-                interval = compute_contact_interval(d_i, d_j, street, 0.0, r)
+                interval = compute_contact_interval(dev_map[di_id], dev_map[dj_id], street, 0.0, r)
                 if interval is not None:
-                    state.active[pair] = interval
-                if track_gaps:
-                    _gap_open(state, pair, street, 0.0)
+                    state.active[(di_id, dj_id)] = interval
     for did in sorted(dev_map):
         d = dev_map[did]
         if d.moving:
@@ -339,7 +310,6 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
         )
     edges = state.graph.edges
     active = state.active
-    track_gaps = state.track_gaps
     did = d.id
 
     # leave: settle contacts with everyone left behind
@@ -350,8 +320,6 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
         interval = active.pop(pair, None)
         if interval is not None:
             _settle(state, pair, interval, t)
-        if track_gaps:
-            _gap_close(state, pair, t)
 
     # enter at p = 0, moving from the crossing towards the street's other end
     crossing = path.crossings[leg]
@@ -410,8 +378,6 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
                     active[pair] = (t + max(lo, 0.0), t + hi)
             elif abs(a) <= r:  # parallel and in contact: [t, inf)
                 active[pair] = (t, math.inf)
-            if track_gaps:
-                _gap_open(state, pair, street, t)
     members.add(did)
     # _schedule's times for p = 0, where (x - 0.0) and (1.0 - 0.0) * x are x
     if leg == last:
@@ -448,9 +414,6 @@ def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
                 active[pair] = merged
         elif new_abs is not None and new_abs[1] >= t:
             active[pair] = (max(new_abs[0], t), new_abs[1])
-        if state.track_gaps:
-            _gap_close(state, pair, t)
-            _gap_open(state, pair, street, t)
     if d.moving:
         _schedule(state.heap, d, t)
 
@@ -490,8 +453,6 @@ def run(state: SimulationState) -> ConnectionGraph:
     active = state.active
     for pair in sorted(active):
         _settle(state, pair, active[pair], T)
-        if state.track_gaps:
-            _gap_close(state, pair, T)
     return state.connection_graph()
 
 

@@ -190,6 +190,9 @@ class StreetGraph:
         if not (math.isfinite(L) and L > 0.0):
             raise ValueError(f"torus half-side L must be finite and positive, got {L}")
         vertices = {int(v["id"]): TorusPoint(float(v["x"]), float(v["y"])) for v in data["vertices"]}
+        for vid, (x, y) in vertices.items():
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"vertex {vid}: coordinates must be finite, got ({x}, {y})")
         # invert the cell -> edges mapping to recover per-edge cell pairs
         edge_cells: dict[int, list[int]] = {}
         cells = {}
@@ -204,6 +207,8 @@ class StreetGraph:
             eid = int(e["id"])
             u, v = int(e["u"]), int(e["v"])
             length = float(e["length"])
+            if not math.isfinite(length):
+                raise ValueError(f"edge {eid}: length must be finite, got {length}")
             delta = min_image_delta(vertices[u], vertices[v], L)
             if abs(math.hypot(*delta) - length) > 1e-6:
                 raise ValueError(f"edge {eid}: stored length {length} inconsistent with geometry")

@@ -102,6 +102,13 @@ class TestConfigInput:
         assert "config error: seeds: must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out" / "out.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, base_config(lambda_per_km=0.0))
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        assert "config error: --jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_run_writes_csv_and_is_deterministic(self, tmp_path):
@@ -469,3 +476,19 @@ class TestGenStreetsAndThin:
             assert main(["thin", str(bad), "--a", "1", "--b", "5"]) == 2
             captured = capsys.readouterr()
             assert "config error: cannot read graph" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("section, key", [("vertices", "x"), ("vertices", "y"),
+                                              ("edges", "length")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_thin_rejects_non_finite_geometry(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", path, "--out", str(graph_path)])
+        capsys.readouterr()
+        data = json.loads(graph_path.read_text())
+        data[section][0][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["thin", str(bad), "--a", "1", "--b", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: cannot read graph" in captured.err and captured.out == ""

@@ -43,17 +43,18 @@ def digest(items) -> str:
 
 
 def golden_run(kernel, velocity, seed):
+    """The engine run of one case, and its devices in their initial state."""
     cfg = small_config(kernel, velocity, seed)
     g, devices, _ = build_seed_state(cfg, seed)
     stationary = devices[::5]
     assign_commute(stationary, [d.home for d in stationary], [d.velocity for d in stationary], g)
-    state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s, T=cfg.T_s[0],
-                       record_history=True)
+    state = initialize(g, [d.clone() for d in devices], r=cfg.r_m, rho=cfg.rho_s,
+                       T=cfg.T_s[0], record_history=True)
     run(state)
-    return state
+    return state, devices
 
 
-@pytest.mark.parametrize("kernel, velocity, seed, history_sha, established_sha", [
+GOLDEN_CASES = [
     (KAPPA_PRIME, TWO_POINT, 1,
      "3dab5bcf366fe775e77aa19167de39cd9f4f2014cf286ddeb66ec6ecc0d52622",
      "9efd09d2589d58b91314acc577a738a528a96be03393228d6add13ce792e775e"),
@@ -66,10 +67,15 @@ def golden_run(kernel, velocity, seed):
     (KAPPA_DOUBLEPRIME, NORMAL_PLUS, 4,
      "8f2d0cbf231029cf413ec97e96c438336bc70696c4abd2fa49591814ae0bd51e",
      "4228b704c992e119c684635d0a284a2e3ce20651d1c4eeb8c317800660ab3843"),
-], ids=["kappa_prime-two_point-1", "kappa_prime-two_point-2", "kappa_prime-two_point-3",
-        "kappa_doubleprime-normal_plus-4"])
+]
+GOLDEN_IDS = ["kappa_prime-two_point-1", "kappa_prime-two_point-2", "kappa_prime-two_point-3",
+              "kappa_doubleprime-normal_plus-4"]
+
+
+@pytest.mark.parametrize("kernel, velocity, seed, history_sha, established_sha",
+                         GOLDEN_CASES, ids=GOLDEN_IDS)
 def test_history_and_established_digests(kernel, velocity, seed, history_sha, established_sha):
-    state = golden_run(kernel, velocity, seed)
+    state, _ = golden_run(kernel, velocity, seed)
     assert (digest(state.history), digest(state.established)) == (history_sha, established_sha)
 
 
