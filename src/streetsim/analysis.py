@@ -13,7 +13,6 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -41,14 +40,15 @@ __all__ = [
 ]
 
 
-def _component_labels(vertices, pairs) -> np.ndarray:
+def _component_labels(vertices, pairs: np.ndarray) -> np.ndarray:
     """Connected-component label of each vertex, in ``vertices`` order.
 
-    ``pairs`` are undirected edges given by vertex id.
+    ``pairs`` is an (m, 2) array of undirected edges given by vertex id.
     """
-    index = {v: k for k, v in enumerate(vertices)}
-    ij = np.array([(index[i], index[j]) for i, j in pairs], dtype=np.intp).reshape(-1, 2)
-    n = len(vertices)
+    ids = np.asarray(vertices)
+    order = np.argsort(ids)
+    ij = order[np.searchsorted(ids, pairs, sorter=order)]
+    n = len(ids)
     adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
     return connected_components(adj, directed=False)[1]
 
@@ -57,14 +57,14 @@ def largest_cluster_fraction(cg: ConnectionGraph) -> float:
     """Share of devices in the largest connected component."""
     if not cg.vertices:
         raise ValueError("connection graph has no vertices")
-    return int(np.bincount(_component_labels(cg.vertices, cg.edges)).max()) / len(cg.vertices)
+    return int(np.bincount(_component_labels(cg.vertices, cg.pairs)).max()) / len(cg.vertices)
 
 
 def cluster_size_histogram(cg: ConnectionGraph) -> list[tuple[int, int]]:
     """Sorted (component size, count) pairs."""
     if not cg.vertices:
         return []
-    sizes, counts = np.unique(np.bincount(_component_labels(cg.vertices, cg.edges)),
+    sizes, counts = np.unique(np.bincount(_component_labels(cg.vertices, cg.pairs)),
                               return_counts=True)
     return [(int(s), int(c)) for s, c in zip(sizes, counts)]
 
@@ -81,15 +81,16 @@ def connection_graph_wraps(cg: ConnectionGraph, anchors, g: StreetGraph) -> bool
     wraps iff some edge disagrees with them by more than half the torus
     side.  A cycle's displacements add up to a multiple of the side, so the
     choice of forest does not matter and the answer is that of
-    :func:`_has_winding_cycle` on the same displacements.
+    :func:`_has_winding_cycle` on the same displacements.  ``tocsr`` sums
+    duplicate entries and sorts each row, so neither the order of
+    ``cg.pairs`` nor a repeated pair changes the forest.
     """
-    if not cg.edges:
+    m = len(cg.pairs)
+    if not m:
         return False
     L = g.L
-    m = len(cg.edges)
     n = len(anchors)
-    ends = np.fromiter(chain.from_iterable(cg.edges), np.intp, count=2 * m).reshape(m, 2)
-    ends.sort(axis=1)  # displacements run from the lower id to the higher
+    ends = np.sort(cg.pairs, axis=1)  # displacements run from the lower id to the higher
     lo, hi = ends[:, 0], ends[:, 1]
     disp = _min_image(anchors[hi] - anchors[lo], L)
     # one BFS from a virtual vertex n joined to the first vertex of each component
@@ -265,7 +266,8 @@ def aux_largest_component(aux: AuxGraph) -> tuple[float, bool]:
     for (u, v), (dx, dy) in aux.aux_edges.items():
         adj[u].append((v, dx, dy))
         adj[v].append((u, -dx, -dy))
-    pairs = [(e.u, e.v) for e in streets] + list(aux.aux_edges)
+    pairs = np.array([(e.u, e.v) for e in streets] + list(aux.aux_edges),
+                     dtype=np.intp).reshape(-1, 2)
     label = dict(zip(aux.vertices, _component_labels(aux.vertices, pairs)))
     # bincount adds the weights in street order, as a running sum per label
     mass = np.bincount([label[e.u] for e in streets], weights=[e.length for e in streets])

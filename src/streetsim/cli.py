@@ -28,6 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path as FsPath
 
+import numpy as np
+
 from .analysis import (
     SweepResult,
     aux_largest_component,
@@ -43,6 +45,10 @@ from .streets import DegenerateTessellation, StreetGraph
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# history rows formatted per write, so the text of a long history is never
+# held in memory all at once
+HISTORY_CHUNK_ROWS = 8192
 
 
 def _cmd_validate(args) -> int:
@@ -99,10 +105,25 @@ def _emit_side_outputs(cfg: ExperimentConfig, out_dir: FsPath, seed: int, state)
             state.trace = trace_cb
         yield
     if cfg.outputs.history:
-        with open(out_dir / f"history-seed{seed}.csv", "w", newline="") as fh:
-            # csv.writer's bytes: \r\n line ends, and no field ever needs quoting
-            fh.write("pair_i,pair_j,u,w\r\n")
-            fh.writelines(f"{i},{j},{u!r},{w!r}\r\n" for i, j, u, w in sorted(state.history))
+        _write_history(out_dir / f"history-seed{seed}.csv", state.history)
+
+
+def _write_history(path, history) -> None:
+    """The history's rows in ``sorted`` order, in chunks of ``HISTORY_CHUNK_ROWS``.
+
+    ``np.lexsort`` is stable like ``sorted``, and ids are exact as doubles,
+    so the rows come out as ``sorted(history)`` orders them.
+    """
+    cols = history.columns()
+    order = np.lexsort((cols[:, 3], cols[:, 2], cols[:, 1], cols[:, 0]))
+    with open(path, "w", newline="") as fh:
+        # csv.writer's bytes: \r\n line ends, and no field ever needs quoting
+        fh.write("pair_i,pair_j,u,w\r\n")
+        for start in range(0, len(order), HISTORY_CHUNK_ROWS):
+            rows = cols[order[start:start + HISTORY_CHUNK_ROWS]]
+            i, j = rows[:, :2].astype(np.int64).T.tolist()
+            u, w = rows[:, 2:].T.tolist()
+            fh.writelines(f"{i},{j},{u!r},{w!r}\r\n" for i, j, u, w in zip(i, j, u, w))
 
 
 def _cmd_run(args) -> int:

@@ -22,8 +22,13 @@ more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
 :class:`Event` is built.
 
 With ``initialize(record_history=True)`` every maximal same-street contact
-interval is logged, from which :func:`derived_connection_graph` rebuilds the
-connection graph for any (T', rho') with T' <= T.
+interval is logged to ``state.history``, a :class:`ContactHistory`: one flat
+``array('d')`` with the four doubles (i, j, u, w) of each interval, 32
+bytes an interval (device ids are exact as doubles below 2**53).  From
+it :func:`derived_connection_graph` rebuilds the connection graph for any
+(T', rho') with T' <= T, in numpy over a view of the array: it masks the
+intervals and keeps the distinct pairs as an (m, 2) array, from which the
+graph's ``edges`` frozenset is built only when something reads it.
 
 Contacts never feed back into motion, so ``tests/contact_oracle.py``
 rebuilds the whole history without events, from each device's own commute
@@ -35,10 +40,10 @@ established set.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +55,7 @@ __all__ = [
     "EventKind",
     "Event",
     "ConnectionGraph",
+    "ContactHistory",
     "SimulationState",
     "compute_contact_interval",
     "try_establish",
@@ -83,16 +89,73 @@ class Event(NamedTuple):
     device: int | None = None
 
 
-@dataclass(frozen=True)
 class ConnectionGraph:
-    """Devices as vertices, established connections as undirected edges."""
+    """Devices as vertices, established connections as undirected edges.
 
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    The edges are kept in either of two forms and the other is made on its
+    first read: ``edges``, a frozenset of ``(i, j)`` tuples, and ``pairs``,
+    an (m, 2) integer array with one row per edge (in no particular order).
+    """
+
+    __slots__ = ("vertices", "_edges", "_pairs")
+
+    def __init__(self, vertices: tuple[int, ...], edges: frozenset | None = None, *,
+                 pairs: np.ndarray | None = None):
+        if (edges is None) == (pairs is None):
+            raise ValueError("give the edges either as a frozenset or as pairs")
+        self.vertices = vertices
+        self._edges = edges
+        self._pairs = pairs
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        if self._edges is None:
+            self._edges = frozenset(map(tuple, self._pairs.tolist()))
+        return self._edges
+
+    @property
+    def pairs(self) -> np.ndarray:
+        if self._pairs is None:
+            self._pairs = np.array(list(self._edges), dtype=np.intp).reshape(-1, 2)
+        return self._pairs
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+
+class ContactHistory:
+    """Logged contact intervals (i, j, u, w), i < j, as typed columns.
+
+    ``data`` is one flat ``array('d')`` holding four doubles per interval;
+    the engine appends an interval with one ``extend((i, j, u, w))``.
+    ``len`` counts intervals, and iteration yields ``(int, int, float,
+    float)`` tuples in logging order, so ``sorted``, ``in`` and ``list``
+    work as on a list of tuples.
+    """
+
+    __slots__ = ("data", "extend")
+
+    def __init__(self, rows=()):
+        self.data = array("d")
+        self.extend = self.data.extend
+        for row in rows:
+            self.extend(row)
+
+    def __len__(self) -> int:
+        return len(self.data) // 4
+
+    def __iter__(self):
+        values = iter(self.data)
+        return ((int(i), int(j), u, w) for i, j, u, w in zip(values, values, values, values))
+
+    def columns(self) -> np.ndarray:
+        """The intervals as an (n, 4) float view of ``data``, without a copy.
+
+        The array cannot grow while a view of it is alive, so callers keep
+        it only for the duration of a call.
+        """
+        return np.frombuffer(self.data, dtype=float).reshape(-1, 4)
 
 
 # -- contact interval algebra -------------------------------------------------
@@ -208,10 +271,10 @@ class SimulationState:
     active: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
     established: set[tuple[int, int]] = field(default_factory=set)  # only ever added to
     record_history: bool = False
-    history: list[tuple[int, int, float, float]] = field(default_factory=list)
+    history: ContactHistory = field(default_factory=ContactHistory)
     trace: object = None  # callable(Event, SimulationState) or None
-    # ``history`` as columns for derived graphs, built on first use
-    _history_columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # each interval's pair number and the distinct pairs, built on first use
+    _history_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def connection_graph(self) -> ConnectionGraph:
         return ConnectionGraph(
@@ -228,7 +291,7 @@ def _settle(state: SimulationState, pair, interval: tuple[float, float], t: floa
         c_min, c_max = interval
         w = min(c_max, t)
         if w > c_min:
-            state.history.append((pair[0], pair[1], c_min, w))
+            state.history.extend((pair[0], pair[1], c_min, w))
 
 
 # -- initialization -------------------------------------------------------------
@@ -459,20 +522,22 @@ def run(state: SimulationState) -> ConnectionGraph:
 # -- contact history -------------------------------------------------------------
 
 
-def _history_columns(state: SimulationState) -> tuple[np.ndarray, ...]:
-    """(i, j, u, w) columns of the recorded history, converted once.
+def _history_pairs(state: SimulationState) -> tuple[np.ndarray, np.ndarray]:
+    """Each interval's row in the distinct pairs, and the (m, 2) distinct pairs.
 
-    History only grows, so the cached columns stand while the list they came
-    from has the same length.  They live as long as the state.
+    History only grows, so the cached index stands while the history it
+    came from has the same length.  It lives as long as the state.
     """
     history = state.history
     n = len(history)
-    cached = state._history_columns
+    cached = state._history_pairs
     if cached is None or cached[0] is not history or cached[1] != n:
-        i, j, u, w = (np.fromiter(map(itemgetter(k), history), dtype, count=n)
-                      for k, dtype in enumerate((np.int64, np.int64, float, float)))
-        cached = (history, n, i, j, u, w)
-        state._history_columns = cached
+        ij = history.columns()[:, :2].astype(np.int64)
+        # device ids are small non-negative ints, so i * base + j is exact
+        base = int(ij[:, 1].max()) + 1
+        keys, pair_of = np.unique(ij[:, 0] * base + ij[:, 1], return_inverse=True)
+        cached = (history, n, pair_of, np.column_stack(np.divmod(keys, base)))
+        state._history_pairs = cached
     return cached[2:]
 
 
@@ -485,15 +550,17 @@ def derived_connection_graph(
 
     A pair is connected iff some logged maximal contact interval [u, w]
     satisfies min(w, T') - u > rho'.  Requires history recording and
-    T' <= the simulated horizon.
+    T' <= the simulated horizon.  The graph carries its edges as pairs.
     """
     if not state.record_history:
         raise ValueError("contact history recording was not enabled")
     if T2 > state.T + 1e-9:
         raise ValueError(f"derived horizon {T2} exceeds simulated horizon {state.T}")
+    vertices = tuple(sorted(state.devices))
     if not state.history:
-        return ConnectionGraph(tuple(sorted(state.devices)), frozenset())
-    i, j, u, w = _history_columns(state)
-    mask = np.minimum(w, T2) - u > rho2
-    edges = frozenset(zip(i[mask].tolist(), j[mask].tolist()))
-    return ConnectionGraph(tuple(sorted(state.devices)), edges)
+        return ConnectionGraph(vertices, frozenset())
+    pair_of, pairs = _history_pairs(state)
+    cols = state.history.columns()
+    connected = np.zeros(len(pairs), dtype=bool)
+    connected[pair_of[np.minimum(cols[:, 3], T2) - cols[:, 2] > rho2]] = True
+    return ConnectionGraph(vertices, pairs=pairs[connected])

@@ -534,6 +534,9 @@ def shortest_path(g: StreetGraph, frm: StreetPosition, to: StreetPosition) -> Pa
 
     This is the per-pair API, and the exact answer that ``assign_commute``
     falls back to for every device whose batched path it cannot certify.
+
+    A route of length zero (both positions at one crossing, on two
+    streets) comes back as the stationary path at its start.
     """
     if frm.street == to.street:
         e = g.edges[frm.street]
@@ -609,7 +612,20 @@ def shortest_path(g: StreetGraph, frm: StreetPosition, to: StreetPosition) -> Pa
         end = StreetPosition(et.id, et.u, et.v, pt)
     else:
         end = StreetPosition(et.id, et.v, et.u, 1.0 - pt)
-    return Path(start, crossings, end, streets)
+    return _zero_length_stationary(Path(start, crossings, end, streets), g)
+
+
+def _zero_length_stationary(path: Path, g: StreetGraph) -> Path:
+    """``path``, or the stationary path at its start if its length is zero.
+
+    A device moving along a route of length zero (home and destination the
+    same crossing, on two streets) would reach its crossing and its
+    destination at one instant, turn around and do so again, forever.
+    """
+    if (path.start.p == 1.0 and path.end.p == 0.0
+            and not any(g.edges[s].length for s in path.streets[1:-1])):
+        return Path(path.start, (), path.start, path.streets[:1])
+    return path
 
 
 class _CrossingGraph(NamedTuple):
@@ -788,8 +804,9 @@ def _shortest_paths(g: StreetGraph, frms: Sequence[StreetPosition],
     paths = []
     for frm, to, start, end, a, h in zip(frms, tos, starts, ends, at.tolist(), hops.tolist()):
         if a >= 0:
-            paths.append(Path(start, tuple(crossings[a:a + h + 1]), end,
-                              (frm.street, *streets[a + 1:a + h + 1], to.street)))
+            paths.append(_zero_length_stationary(
+                Path(start, tuple(crossings[a:a + h + 1]), end,
+                     (frm.street, *streets[a + 1:a + h + 1], to.street)), g))
         elif h < 0:
             paths.append(Path(start, (), end, (frm.street,)))
         else:

@@ -13,7 +13,7 @@ from streetsim.engine import (
     run,
     try_establish,
 )
-from streetsim.mobility import Device, Path, RuntimeInvariantError
+from streetsim.mobility import Device, Path, RuntimeInvariantError, assign_commute
 from streetsim.streets import StreetPosition
 
 from conftest import make_device, make_graph
@@ -320,6 +320,30 @@ class TestRun:
         cg = run(state)
         assert cg.vertices == ()
         assert cg.edges == frozenset()
+
+    def test_zero_length_commute_is_stationary_and_run_returns(self):
+        # three streets in a row; home at the end of street 0 and destination
+        # at the start of street 1 are the same crossing
+        g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (300, 0)},
+                       [(0, 1), (1, 2), (2, 3)])
+        home = StreetPosition(0, 0, 1, 1.0)
+        still = Device(0, home, 0.0, 1.0, None, home, home)
+        walker = Device(1, StreetPosition(2, 3, 2, 0.5), 0.0, 1.0, None,
+                        StreetPosition(2, 3, 2, 0.5), None)
+        assign_commute([still, walker], [StreetPosition(1, 1, 2, 0.0), StreetPosition(0, 1, 0, 0.5)],
+                       [1.0, 1.0], g)
+        assert not still.moving and still.pos == home
+        assert walker.moving
+        state = initialize(g, [still, walker], r=20.0, rho=5.0, T=400.0, record_history=True)
+        events = []
+
+        def bounded(ev, st):
+            events.append(ev)
+            assert len(events) < 100, "events without end"
+
+        state.trace = bounded
+        assert run(state).edges == frozenset({(0, 1)})
+        assert {h[:2] for h in state.history} == {(0, 1)}
 
     def test_event_times_monotone(self):
         g, state = two_device_scenario(T=240.0)
