@@ -12,7 +12,6 @@ from .analysis import (
     write_sweep_csv,
 )
 from .config import ExperimentConfig, load_config, parse_config, rng_streams, validate_config
-from .discrete import DiscreteConfig, simulate_discrete
 from .engine import (
     ConnectionGraph,
     Event,
@@ -22,7 +21,6 @@ from .engine import (
     derived_connection_graph,
     initialize,
     run,
-    try_establish,
 )
 from .mobility import (
     Device,
@@ -46,7 +44,6 @@ from .streets import (
     calibrate_seed_intensity,
     generate_pvt,
     project_to_streets,
-    total_street_length,
 )
 from .torus import TorusPoint, boundary_crossing_points, torus_distance, wrap
 

@@ -319,7 +319,7 @@ def velocity_sweep(config, side_outputs=None) -> SweepResult:
     """Run the experiment of an :class:`~streetsim.config.ExperimentConfig`.
 
     Per seed the movement is simulated once, at the configured base velocity
-    distribution, out to max(scale)*max(T) with contact-history recording.
+    distribution, out to max(scale)*max(T), which logs its contact history.
     Each (scale a, horizon T) point is then the derived connection graph at
     (a*T, a*rho): scaling all velocities by a is equivalent to stretching
     horizon and connection time by a on the same movement.  Rows for scale a
@@ -341,7 +341,7 @@ def _sweep_one_seed(config, seed: int, side_outputs=None) -> list[SweepRow]:
     scales = config.sweep.values if config.sweep is not None else [1.0]
     horizons = config.T_s
     state = initialize(g, devices, r=config.r_m, rho=config.rho_s,
-                       T=max(scales) * max(horizons), record_history=True)
+                       T=max(scales) * max(horizons))
     with side_outputs(seed, state) if side_outputs is not None else nullcontext():
         run(state)
     anchors = home_anchors(state.devices, g)

@@ -10,8 +10,8 @@ once a contact has lasted longer than the connection time rho.
 The queue is ``state.heap``, a binary heap of raw ``(time, kind, device)``
 tuples.  :func:`run` handles every event with time <= T; events at one
 instant fire crossings before destinations, then by device id.  Then a
-single close-out at T brings all positions to T, applies the connection
-rule to the contacts still running and logs their history up to T.
+single close-out at T brings all positions to T and logs the contacts still
+running up to T.
 
 When ``state.trace`` is set, :func:`run` calls ``state.trace(ev, state)``
 with an :class:`Event` once per event, after the clock has moved to
@@ -21,12 +21,13 @@ more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
 ``None``.  The hook is read once, when ``run`` starts; without one no
 :class:`Event` is built.
 
-With ``initialize(record_history=True)`` every maximal same-street contact
-interval is logged to ``state.history``, a :class:`ContactHistory`: one flat
+Every maximal same-street contact interval is logged to ``state.history``,
+the single record of contacts: a :class:`ContactHistory`, one flat
 ``array('d')`` with the four doubles (i, j, u, w) of each interval, 32
-bytes an interval (device ids are exact as doubles below 2**53).  From
-it :func:`derived_connection_graph` rebuilds the connection graph for any
-(T', rho') with T' <= T, in numpy over a view of the array: it masks the
+bytes an interval (device ids are exact as doubles below 2**53).  The
+connection rule is applied to it alone: :func:`derived_connection_graph`
+builds the graph for any (T', rho') with T' <= T, and :func:`run` returns
+it at (T, rho), in numpy over a view of the array: it masks the
 intervals and keeps the distinct pairs as an (m, 2) array, from which the
 graph's ``edges`` frozenset is built only when something reads it.
 
@@ -34,7 +35,7 @@ Contacts never feed back into motion, so ``tests/contact_oracle.py``
 rebuilds the whole history without events, from each device's own commute
 and per-street geometry; the tests require the engine's history to be the
 oracle's (i, j) multiset with endpoints within 1e-9 s, and the same
-established set.
+connection graph.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "ContactHistory",
     "SimulationState",
     "compute_contact_interval",
-    "try_establish",
     "merge_reversal_interval",
     "initialize",
     "run",
@@ -230,12 +230,6 @@ def compute_contact_interval(
     return (t_now + max(lo, 0.0), t_now + hi)
 
 
-def try_establish(interval: tuple[float, float], t: float, rho: float) -> bool:
-    """The connection rule: a contact [c_min, c_max] seen at time t has
-    outlasted rho iff min(c_max, t) - c_min > rho (strict)."""
-    return min(interval[1], t) - interval[0] > rho
-
-
 def merge_reversal_interval(
     old: tuple[float, float],
     new: tuple[float, float] | None,
@@ -267,31 +261,31 @@ class SimulationState:
     T: float
     time: float = 0.0
     heap: list[tuple[float, int, int]] = field(default_factory=list)
-    # running contacts: pair -> (c_min, c_max), c_max possibly +inf
+    # running contacts: pair -> (c_min, c_max), c_max possibly +inf; empty after run
     active: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
-    established: set[tuple[int, int]] = field(default_factory=set)  # only ever added to
-    record_history: bool = False
+    # the single record of contacts; connections are read from it
     history: ContactHistory = field(default_factory=ContactHistory)
     trace: object = None  # callable(Event, SimulationState) or None
     # each interval's pair number and the distinct pairs, built on first use
     _history_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def connection_graph(self) -> ConnectionGraph:
-        return ConnectionGraph(
-            vertices=tuple(sorted(self.devices)),
-            edges=frozenset(self.established),
-        )
+    @property
+    def established(self) -> frozenset[tuple[int, int]]:
+        """The pairs connected so far, read from the history.
+
+        Every logged interval ends at or before the current time and T, so
+        this is the derived graph at (T, rho).  ``perfbench/spans.py``
+        counts connections with it; nothing in the package reads it.
+        """
+        return derived_connection_graph(self, self.T, self.rho).edges
 
 
 def _settle(state: SimulationState, pair, interval: tuple[float, float], t: float) -> None:
-    """Apply the connection rule to a contact that stops at t and log it up to t."""
-    if try_establish(interval, t, state.rho):
-        state.established.add(pair)
-    if state.record_history:
-        c_min, c_max = interval
-        w = min(c_max, t)
-        if w > c_min:
-            state.history.extend((pair[0], pair[1], c_min, w))
+    """Log a contact that stops at t up to t, unless it never opened."""
+    c_min, c_max = interval
+    w = min(c_max, t)
+    if w > c_min:
+        state.history.extend((pair[0], pair[1], c_min, w))
 
 
 # -- initialization -------------------------------------------------------------
@@ -315,7 +309,6 @@ def initialize(
     r: float,
     rho: float,
     T: float,
-    record_history: bool = False,
 ) -> SimulationState:
     """Set up run state: street occupancy, initial contacts and the queue,
     which holds one movement event per moving device.
@@ -325,6 +318,10 @@ def initialize(
     """
     if not 0 < T < math.inf:
         raise ValueError("time horizon must be positive")
+    if not math.isfinite(r):
+        raise ValueError("contact range must be finite")
+    if not 0 <= rho < math.inf:
+        raise ValueError("connection time must be finite and non-negative")
     graph.clear_devices()
     dev_map: dict[int, Device] = {}
     for d in devices:
@@ -334,8 +331,7 @@ def initialize(
         street.devices.add(d.id)
         d.street_length = street.length
         dev_map[d.id] = d
-    state = SimulationState(graph=graph, devices=dev_map, r=r, rho=rho, T=T,
-                            record_history=record_history)
+    state = SimulationState(graph=graph, devices=dev_map, r=r, rho=rho, T=T)
     for eid in sorted(graph.edges):
         street = graph.edges[eid]
         ids = sorted(street.devices)
@@ -483,12 +479,12 @@ def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
 
 def run(state: SimulationState) -> ConnectionGraph:
     """Handle every event up to the horizon T, close out at T and return
-    the connection graph.
+    the connection graph at (T, rho), read from the history.
 
-    The close-out brings every device to T and settles every contact still
-    running: the connection rule at T, and history up to T.  Identical
-    inputs (same sampled geometry, devices and parameters) produce a
-    bitwise-identical result.
+    The close-out brings every device to T, logs every contact still
+    running up to T and empties ``state.active``.  Identical inputs (same
+    sampled geometry, devices and parameters) produce a bitwise-identical
+    result.
     """
     heap = state.heap
     devices = state.devices
@@ -516,7 +512,8 @@ def run(state: SimulationState) -> ConnectionGraph:
     active = state.active
     for pair in sorted(active):
         _settle(state, pair, active[pair], T)
-    return state.connection_graph()
+    active.clear()
+    return derived_connection_graph(state, T, state.rho)
 
 
 # -- contact history -------------------------------------------------------------
@@ -546,14 +543,12 @@ def derived_connection_graph(
     T2: float,
     rho2: float,
 ) -> ConnectionGraph:
-    """Connection graph for rescaled (T', rho') from the recorded history.
+    """Connection graph for rescaled (T', rho') from the history.
 
     A pair is connected iff some logged maximal contact interval [u, w]
-    satisfies min(w, T') - u > rho'.  Requires history recording and
-    T' <= the simulated horizon.  The graph carries its edges as pairs.
+    satisfies min(w, T') - u > rho' (strict).  Requires T' <= the simulated
+    horizon.  The graph carries its edges as pairs.
     """
-    if not state.record_history:
-        raise ValueError("contact history recording was not enabled")
     if T2 > state.T + 1e-9:
         raise ValueError(f"derived horizon {T2} exceeds simulated horizon {state.T}")
     vertices = tuple(sorted(state.devices))

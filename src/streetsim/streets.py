@@ -45,7 +45,6 @@ __all__ = [
     "build_from_seeds",
     "build_cell_index",
     "project_to_streets",
-    "total_street_length",
 ]
 
 # matching radius when identifying a wrapped Voronoi vertex with its image
@@ -230,11 +229,6 @@ class StreetGraph:
     def from_json(cls, path) -> "StreetGraph":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def total_street_length(g: StreetGraph) -> float:
-    """Sum of all street lengths in meters."""
-    return sum(e.length for e in g.edges.values())
 
 
 def calibrate_seed_intensity(street_intensity: float) -> float:

@@ -23,6 +23,11 @@ def make_graph(L, verts, edge_pairs):
     return StreetGraph(L, vertices, edges, {})
 
 
+def total_street_length(g: StreetGraph) -> float:
+    """Sum of all street lengths in meters."""
+    return sum(e.length for e in g.edges.values())
+
+
 def make_device(did, g, frm, to, velocity):
     """Device with a shortest path from frm to to, ready for the engine."""
     path = shortest_path(g, frm, to)

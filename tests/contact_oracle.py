@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from streetsim.engine import derived_connection_graph
+
 _INIT = -1  # rank of the state at t = 0, before every event
 _CLOSE = np.iinfo(np.int64).max  # rank of the close-out at T, after every event
 _CROSSING, _DESTINATION = 3, 4
@@ -202,7 +204,8 @@ def contact_oracle(graph, devices, r: float, rho: float, T: float) -> OracleResu
 
 def assert_matches_engine(state, oracle: OracleResult, tol: float = 1e-9) -> None:
     """The engine's history is the oracle's as an (i, j) multiset, with
-    endpoints within ``tol``, and the established sets are equal."""
+    endpoints within ``tol``, and the connection graph read from the
+    engine's history has the oracle's established set as its edges."""
     engine_rows, oracle_rows = sorted(state.history), sorted(oracle.history)
     assert len(engine_rows) == len(oracle_rows), \
         f"engine logged {len(engine_rows)} intervals, oracle {len(oracle_rows)}"
@@ -212,6 +215,7 @@ def assert_matches_engine(state, oracle: OracleResult, tol: float = 1e-9) -> Non
                              | (np.abs(a[:, 2:] - b[:, 2:]) > tol).any(axis=1))
         assert not len(bad), (f"{len(bad)} of {len(a)} intervals differ, first: "
                               f"engine {engine_rows[bad[0]]}, oracle {oracle_rows[bad[0]]}")
-    assert state.established == oracle.established, (
-        f"established differ: engine only {sorted(state.established - oracle.established)}, "
-        f"oracle only {sorted(oracle.established - state.established)}")
+    edges = derived_connection_graph(state, state.T, state.rho).edges
+    assert edges == oracle.established, (
+        f"established differ: engine only {sorted(edges - oracle.established)}, "
+        f"oracle only {sorted(oracle.established - edges)}")

@@ -1,20 +1,20 @@
-"""Discrete-time reference simulator.
+"""Discrete-time reference simulator, a verification fixture of the tests.
 
 Steps the whole system in fixed slices of size eps, the approach the event
-engine replaces.  It exists purely as a verification fixture: away from
-decision boundaries (contact durations near rho, from the engine's history,
-and minimum gaps near r, from the contact oracle in the tests) it must agree
-with the event engine exactly, and its cost O(T/eps * devices) documents the
-trade-off that motivates event-driven simulation.
+engine replaces.  Away from decision boundaries (contact durations near
+rho, from the engine's history, and minimum gaps near r, from the contact
+oracle in ``contact_oracle.py``) it must agree with the event engine
+exactly, and its cost O(T/eps * devices) documents the trade-off that
+motivates event-driven simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import ConnectionGraph
-from .mobility import Device
-from .streets import StreetGraph, StreetPosition
+from streetsim.engine import ConnectionGraph
+from streetsim.mobility import Device
+from streetsim.streets import StreetGraph, StreetPosition
 
 __all__ = ["DiscreteConfig", "simulate_discrete"]
 

@@ -21,7 +21,6 @@ from streetsim.analysis import (
 )
 from streetsim.cli import main
 from streetsim.config import parse_config, rng_streams
-from streetsim.discrete import DiscreteConfig, simulate_discrete
 from streetsim.engine import (
     compute_contact_interval,
     derived_connection_graph,
@@ -43,12 +42,12 @@ from streetsim.streets import (
     build_cell_index,
     generate_pvt,
     project_to_streets,
-    total_street_length,
 )
 from streetsim.torus import TorusPoint, torus_distance, wrap
 
-from conftest import make_graph
+from conftest import make_graph, total_street_length
 from contact_oracle import contact_oracle
+from discrete_reference import DiscreteConfig, simulate_discrete
 from test_streets import brute_force_projection
 from test_torus import brute_force_distance
 
@@ -139,8 +138,7 @@ def _admitted_instance(seed, T, r, rho):
     eps = 0.01
     if eps > 0.01 * min(e.length for e in g.edges.values()) / v_max:
         return None
-    state = initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T,
-                       record_history=True)
+    state = initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T)
     engine_graph = run(state)
     slack = 5.0 * eps * v_max
     for _, _, u, w in state.history:
@@ -218,7 +216,7 @@ def test_criterion_3_velocity_time_scaling_bitwise():
             g, devices = inst
             checked += 1
             base = initialize(g, [d.clone() for d in devices], r=r, rho=rho,
-                              T=2.0 * T, record_history=True)
+                              T=2.0 * T)
             run(base)
             for a in (0.5, 2.0):
                 derived = derived_connection_graph(base, a * T, a * rho)

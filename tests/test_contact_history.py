@@ -75,7 +75,7 @@ class TestDerivedReadout:
         cfg = parse_config(json.loads((ROOT / "figures" / "in_out_desk.json").read_text()))
         g, devices, _ = build_seed_state(cfg, 1)
         state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s,
-                           T=max(cfg.sweep.values) * max(cfg.T_s), record_history=True)
+                           T=max(cfg.sweep.values) * max(cfg.T_s))
         run(state)
         rows = list(state.history)
         anchors = home_anchors(state.devices, g)
@@ -103,7 +103,7 @@ class TestDerivedReadout:
         # repeat some intervals as they are
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=n)) if rows else []
         state = SimulationState(graph=g, devices=dict.fromkeys(ids), r=20.0, rho=1.0, T=40.0,
-                                record_history=True, history=ContactHistory(rows))
+                                history=ContactHistory(rows))
         coord = st.floats(-L, L, exclude_max=True, allow_nan=False)
         anchors = np.full((max(ids) + 1, 2), np.nan)
         for v in ids:

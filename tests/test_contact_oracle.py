@@ -1,6 +1,6 @@
 """The event engine's whole contact history against the event-free oracle
 in ``contact_oracle.py``: the same (i, j) multiset of intervals, endpoints
-within 1e-9 s, and the same established set."""
+within 1e-9 s, and the same connection graph."""
 
 import json
 from pathlib import Path
@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def engine_and_oracle(g, devices, r, rho, T):
-    state = initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T, record_history=True)
+    state = initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T)
     run(state)
     return state, contact_oracle(g, devices, r, rho, T)
 

@@ -1,11 +1,11 @@
 import pytest
 
 from streetsim.config import parse_config, build_seed_state
-from streetsim.discrete import DiscreteConfig, simulate_discrete
 from streetsim.engine import initialize, run
 from streetsim.streets import StreetPosition
 
 from conftest import make_device, make_graph
+from discrete_reference import DiscreteConfig, simulate_discrete
 
 
 def small_instance(seed, n_target=12, torus_side=700.0):

@@ -5,13 +5,14 @@ import pytest
 
 from streetsim.config import build_seed_state, parse_config
 from streetsim.engine import (
+    ContactHistory,
     EventKind,
+    SimulationState,
     compute_contact_interval,
     derived_connection_graph,
     initialize,
     merge_reversal_interval,
     run,
-    try_establish,
 )
 from streetsim.mobility import Device, Path, RuntimeInvariantError, assign_commute
 from streetsim.streets import StreetPosition
@@ -19,13 +20,13 @@ from streetsim.streets import StreetPosition
 from conftest import make_device, make_graph
 
 
-def two_device_scenario(T=120.0, r=20.0, rho=10.0, record_history=False):
+def two_device_scenario(T=120.0, r=20.0, rho=10.0):
     """100 m street; A and B start at opposite ends, walk toward each other
     at 1 m/s, turn around at the far end.  Contact interval is [40, 60]."""
     g = make_graph(500.0, {0: (0.0, 0.0), 1: (100.0, 0.0)}, [(0, 1)])
     A = make_device(0, g, StreetPosition(0, 0, 1, 0.0), StreetPosition(0, 0, 1, 1.0), 1.0)
     B = make_device(1, g, StreetPosition(0, 1, 0, 0.0), StreetPosition(0, 1, 0, 1.0), 1.0)
-    state = initialize(g, [A, B], r=r, rho=rho, T=T, record_history=record_history)
+    state = initialize(g, [A, B], r=r, rho=rho, T=T)
     return g, state
 
 
@@ -105,16 +106,25 @@ class TestContactInterval:
             assert min(hi, horizon) >= last - step
 
 
-class TestTryEstablish:
+class TestConnectionRule:
+    """The rule min(w, T') - u > rho' on a history of one contact [40, 60]."""
+
+    @staticmethod
+    def connected(T2, rho2):
+        g = make_graph(500.0, {0: (0.0, 0.0), 1: (100.0, 0.0)}, [(0, 1)])
+        state = SimulationState(graph=g, devices=dict.fromkeys((0, 1)), r=20.0, rho=rho2,
+                                T=60.0, history=ContactHistory([(0, 1, 40.0, 60.0)]))
+        return derived_connection_graph(state, T2, rho2).edges == frozenset({(0, 1)})
+
     def test_established_when_elapsed_exceeds_rho(self):
-        assert try_establish((40.0, 60.0), 55.0, 10.0) is True
+        assert self.connected(55.0, 10.0)
 
     def test_not_established_too_early(self):
-        assert try_establish((40.0, 60.0), 45.0, 10.0) is False
+        assert not self.connected(45.0, 10.0)
 
     def test_zero_rho_needs_strictly_positive_elapsed(self):
-        assert try_establish((40.0, 60.0), 40.0, 0.0) is False
-        assert try_establish((40.0, 60.0), 40.5, 0.0) is True
+        assert not self.connected(40.0, 0.0)
+        assert self.connected(40.5, 0.0)
 
 
 def traced_run(state, hook=None):
@@ -170,6 +180,15 @@ class TestQueueAndInit:
                         StreetPosition(0, 0, 1, 1.0), 1.0)
         with pytest.raises(ValueError, match="time horizon must be positive"):
             initialize(single_street_graph, [d], r=5.0, rho=1.0, T=T)
+
+    @pytest.mark.parametrize("r, rho", [(5.0, -1.0), (5.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_negative_or_non_finite_r_and_rho(self, r, rho, single_street_graph):
+        # the only inputs where the history's rule could part from the rule
+        # applied when each contact stops
+        d = make_device(0, single_street_graph, StreetPosition(0, 0, 1, 0.0),
+                        StreetPosition(0, 0, 1, 1.0), 1.0)
+        with pytest.raises(ValueError):
+            initialize(single_street_graph, [d], r=r, rho=rho, T=10.0)
 
     def test_same_instant_kind_order(self):
         # at t = 50 device 0 reaches its destination and device 1 a crossing;
@@ -236,7 +255,7 @@ class TestHandlers:
         A = make_device(0, g, StreetPosition(0, 0, 1, 0.0), StreetPosition(0, 0, 1, 0.28125), 1.0)
         B = make_device(1, g, StreetPosition(0, 0, 1, 0.3125), StreetPosition(0, 0, 1, 0.3125), 1.0)
         assert not B.moving
-        state = initialize(g, [A, B], r=20.0, rho=10.0, T=150.0, record_history=True)
+        state = initialize(g, [A, B], r=20.0, rho=10.0, T=150.0)
         cg = run(state)
         assert cg.edges == frozenset({(0, 1)})
         assert (0, 1, 80.0, 100.0) in [tuple(h) for h in state.history]
@@ -296,7 +315,7 @@ class TestHandlers:
         # both devices turn at exactly T = 100; the turns are traced and
         # handled (the [40, 60] contact settled, new events pushed) before
         # the close-out's two records
-        g, state = two_device_scenario(T=100.0, record_history=True)
+        g, state = two_device_scenario(T=100.0)
         at_finish = []
 
         def hook(ev, st):
@@ -334,7 +353,7 @@ class TestRun:
                        [1.0, 1.0], g)
         assert not still.moving and still.pos == home
         assert walker.moving
-        state = initialize(g, [still, walker], r=20.0, rho=5.0, T=400.0, record_history=True)
+        state = initialize(g, [still, walker], r=20.0, rho=5.0, T=400.0)
         events = []
 
         def bounded(ev, st):
@@ -385,10 +404,41 @@ class TestRun:
         state.trace = check
         run(state)
 
+    def test_close_out_empties_active(self):
+        # the [40, 60] contact still runs at T = 51: settled up to T, then dropped
+        _, state = two_device_scenario(T=51.0)
+        assert state.active
+        run(state)
+        assert state.active == {}
+        assert list(state.history) == [(0, 1, 40.0, 51.0)]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_graph_is_read_from_history(self, seed):
+        cfg = parse_config({
+            "torus_side_m": 800.0, "street_intensity_km_per_km2": 20.0,
+            "lambda_per_km": 20.0, "r_m": 20.0, "rho_s": 5.0, "T_s": 90.0,
+            "kernel": {"kappa_prime": {"R_m": 150.0}},
+            "velocity": {"normal_plus": {"mean_mps": 1.0, "std_mps": 0.2}},
+            "seeds": [seed], "outputs": {"csv_path": "x.csv"},
+        })
+        g, devices, _ = build_seed_state(cfg, seed)
+        state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s, T=90.0)
+        seen = []
+        state.trace = lambda ev, st: seen.append(st.established)
+        edges = run(state).edges
+        assert edges
+        assert edges == derived_connection_graph(state, state.T, state.rho).edges
+        assert edges == state.established
+        # mid-run the pairs connected so far only grow; the close-out adds
+        # the contacts that still run at T
+        assert seen[0] == frozenset()
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+        assert seen[-1] <= edges
+
     def test_determinism_bitwise(self):
         results = []
         for _ in range(2):
-            g, state = two_device_scenario(T=240.0, record_history=True)
+            g, state = two_device_scenario(T=240.0)
             cg = run(state)
             results.append((cg.edges, tuple(state.history)))
         assert results[0] == results[1]
@@ -411,24 +461,18 @@ class TestRun:
 
 class TestContactHistory:
     def test_two_device_history(self):
-        g, state = two_device_scenario(T=120.0, record_history=True)
+        g, state = two_device_scenario(T=120.0)
         run(state)
         assert [tuple(h) for h in state.history] == [(0, 1, 40.0, 60.0)]
 
     def test_derived_graphs(self):
-        g, state = two_device_scenario(T=120.0, record_history=True)
+        g, state = two_device_scenario(T=120.0)
         run(state)
         assert derived_connection_graph(state, 50.0, 5.0).edges == frozenset({(0, 1)})
         assert derived_connection_graph(state, 45.0, 10.0).edges == frozenset()
 
-    def test_requires_recording(self):
-        g, state = two_device_scenario(T=120.0, record_history=False)
-        run(state)
-        with pytest.raises(ValueError):
-            derived_connection_graph(state, 50.0, 5.0)
-
     def test_rejects_horizon_beyond_simulated(self):
-        g, state = two_device_scenario(T=120.0, record_history=True)
+        g, state = two_device_scenario(T=120.0)
         run(state)
         with pytest.raises(ValueError):
             derived_connection_graph(state, 240.0, 5.0)
@@ -442,7 +486,7 @@ class TestContactHistory:
             "seeds": [5], "outputs": {"csv_path": "x.csv"},
         })
         g, devices, _ = build_seed_state(cfg, 5)
-        state = initialize(g, devices, r=20.0, rho=5.0, T=120.0, record_history=True)
+        state = initialize(g, devices, r=20.0, rho=5.0, T=120.0)
         run(state)
         prev = None
         for T2 in (30.0, 60.0, 90.0, 120.0):
@@ -472,7 +516,7 @@ class TestScalingRelation:
             g, devices, _ = build_seed_state(cfg, seed)
             T, rho = 100.0, 8.0
             base = initialize(g, [d.clone() for d in devices], r=20.0, rho=rho,
-                              T=max(1.0, a) * T, record_history=True)
+                              T=max(1.0, a) * T)
             run(base)
             d_graph = derived_connection_graph(base, a * T, a * rho)
             scaled = [d.clone() for d in devices]

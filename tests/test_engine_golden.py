@@ -2,12 +2,14 @@
 
 Each case builds one seed of a small config, turns every fifth device into a
 stationary one (its commute is re-assigned to end at its home), runs the
-engine with history recording and compares sha256 digests of the sorted
-contact history and the sorted established set.  The κ′ cases use a
+engine and compares sha256 digests of the sorted contact history and of
+the sorted edges of the connection graph read from it at (T, rho), which
+is the graph ``run`` returns.  The κ′ cases use a
 two-point velocity law, so fast devices overtake slow ones on shared
 streets; every case has reversals and streets with several devices.  The
 digests were recorded before the event loop was flattened, and pin its
-floating-point results bit for bit.
+floating-point results bit for bit; the edge digests were recorded while
+the engine still kept its own set of established pairs beside the history.
 
 The set-up digests pin every device's destination and path as
 ``build_seed_state`` gives them; they were recorded while the waypoint
@@ -19,7 +21,7 @@ import hashlib
 import pytest
 
 from streetsim.config import build_seed_state, parse_config
-from streetsim.engine import initialize, run
+from streetsim.engine import derived_connection_graph, initialize, run
 from streetsim.mobility import assign_commute
 
 
@@ -49,7 +51,7 @@ def golden_run(kernel, velocity, seed):
     stationary = devices[::5]
     assign_commute(stationary, [d.home for d in stationary], [d.velocity for d in stationary], g)
     state = initialize(g, [d.clone() for d in devices], r=cfg.r_m, rho=cfg.rho_s,
-                       T=cfg.T_s[0], record_history=True)
+                       T=cfg.T_s[0])
     run(state)
     return state, devices
 
@@ -76,7 +78,8 @@ GOLDEN_IDS = ["kappa_prime-two_point-1", "kappa_prime-two_point-2", "kappa_prime
                          GOLDEN_CASES, ids=GOLDEN_IDS)
 def test_history_and_established_digests(kernel, velocity, seed, history_sha, established_sha):
     state, _ = golden_run(kernel, velocity, seed)
-    assert (digest(state.history), digest(state.established)) == (history_sha, established_sha)
+    edges = derived_connection_graph(state, state.T, state.rho).edges
+    assert (digest(state.history), digest(edges)) == (history_sha, established_sha)
 
 
 @pytest.mark.parametrize("kernel, velocity, seed, setup_sha", [

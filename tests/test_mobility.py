@@ -31,11 +31,10 @@ from streetsim.streets import (
     StreetPosition,
     build_cell_index,
     generate_pvt,
-    total_street_length,
 )
 from streetsim.torus import TorusPoint, torus_distance, wrap
 
-from conftest import make_graph
+from conftest import make_graph, total_street_length
 from test_streets import brute_force_projection
 
 

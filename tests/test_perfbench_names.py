@@ -3,11 +3,12 @@ patching them changes no output.
 
 ``perfbench/spans.py`` wraps, by name, the module attributes through which
 ``streetsim run`` calls each layer, and reads counts off their results
-(``len(state.history)``, ``len(result.edges)``).  A rename in ``src/`` would
+(``len(state.history)``, ``len(state.established)``, ``len(result.edges)``).  A rename in ``src/`` would
 break the traced benchmark, not the program, so this checks the names here.
 The module is loaded read-only: no bytecode is written next to it.
 """
 
+import csv
 import importlib.util
 import json
 import sys
@@ -58,8 +59,13 @@ def test_instrumented_run_matches_plain_run(spans, tmp_path):
         assert streetsim.cli.main(["run", str(cfg), "--out", str(tmp_path / "traced")]) == 0
     for name in ("out.csv",) + SIDE_FILES:
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes()
-    history_rows = len((tmp_path / "traced" / "history-seed1.csv").read_text().splitlines()) - 1
-    assert history_rows > 0
-    assert tr.total("history_intervals") == history_rows
+    with open(tmp_path / "plain" / "history-seed1.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert tr.total("history_intervals") == len(rows)
+    # the plain run's connections at the simulated (T, rho) = (120 s, 8 s)
+    connected = {(r["pair_i"], r["pair_j"]) for r in rows if float(r["w"]) - float(r["u"]) > 8.0}
+    assert connected
+    assert tr.total("connections") == len(connected)
     assert tr.total("derived_edges") > 0
     assert tr.total("sweep_points") == 4

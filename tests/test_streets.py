@@ -13,11 +13,10 @@ from streetsim.streets import (
     calibrate_seed_intensity,
     generate_pvt,
     project_to_streets,
-    total_street_length,
 )
 from streetsim.torus import TorusPoint, min_image_delta, torus_distance, wrap
 
-from conftest import make_graph
+from conftest import make_graph, total_street_length
 
 
 class TestCalibration:
@@ -181,7 +180,9 @@ def brute_force_projection(p, g):
         for oi in (-side, 0.0, side):
             for oj in (-side, 0.0, side):
                 qx, qy = p.x + oi - ux, p.y + oj - uy
-                t = min(max((qx * dx + qy * dy) / (e.length ** 2), 0.0), 1.0)
+                # length * length is the correctly rounded square; ** 2 (C pow)
+                # can be an ulp off it
+                t = min(max((qx * dx + qy * dy) / (e.length * e.length), 0.0), 1.0)
                 d = math.hypot(qx - t * dx, qy - t * dy)
                 if best is None or (d, eid) < (best[0], best[1]):
                     best = (d, eid, t)
