@@ -4,12 +4,14 @@ Covers the largest-cluster statistics of simulated connection graphs, the
 velocity sweep that re-evaluates one recorded movement under rescaled
 (horizon, connection-time) pairs, and the auxiliary long-street graphs used
 to study when connections across streets are possible at all.
+One routine, :func:`_winds`, tells whether a connection graph or a
+long-street graph winds around the torus; they differ only in the
+displacements their edges carry.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -40,6 +42,12 @@ __all__ = [
 ]
 
 
+def _labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n vertices joined by edges lo[k]-hi[k]."""
+    adj = coo_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
 def _component_labels(vertices, pairs: np.ndarray) -> np.ndarray:
     """Connected-component label of each vertex, in ``vertices`` order.
 
@@ -48,9 +56,7 @@ def _component_labels(vertices, pairs: np.ndarray) -> np.ndarray:
     ids = np.asarray(vertices)
     order = np.argsort(ids)
     ij = order[np.searchsorted(ids, pairs, sorter=order)]
-    n = len(ids)
-    adj = coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])), shape=(n, n))
-    return connected_components(adj, directed=False)[1]
+    return _labels(len(ids), ij[:, 0], ij[:, 1])
 
 
 def largest_cluster_fraction(cg: ConnectionGraph) -> float:
@@ -75,42 +81,46 @@ def connection_graph_wraps(cg: ConnectionGraph, anchors, g: StreetGraph) -> bool
     Finite-volume heuristic: devices are anchored at their home coordinates
     (``anchors[i]`` is device i's home ``(x, y)``, as :func:`home_anchors`
     builds it) and each edge carries the minimal-image displacement between
-    homes; a cycle whose displacements do not cancel wraps the torus.
-
-    Potentials are summed along a spanning forest of the edges; the graph
-    wraps iff some edge disagrees with them by more than half the torus
-    side.  A cycle's displacements add up to a multiple of the side, so the
-    choice of forest does not matter and the answer is that of
-    :func:`_has_winding_cycle` on the same displacements.  ``tocsr`` sums
-    duplicate entries and sorts each row, so neither the order of
-    ``cg.pairs`` nor a repeated pair changes the forest.
+    homes; a cycle whose displacements do not cancel wraps the torus
+    (:func:`_winds`, as for the street paths of :func:`aux_largest_component`).
     """
-    m = len(cg.pairs)
-    if not m:
+    if not len(cg.pairs):
         return False
-    L = g.L
-    n = len(anchors)
     ends = np.sort(cg.pairs, axis=1)  # displacements run from the lower id to the higher
     lo, hi = ends[:, 0], ends[:, 1]
-    disp = _min_image(anchors[hi] - anchors[lo], L)
+    disp = _min_image(anchors[hi] - anchors[lo], g.L)
+    return _winds(lo, hi, disp, _labels(len(anchors), lo, hi), g.L)
+
+
+def _winds(lo: np.ndarray, hi: np.ndarray, disp: np.ndarray, label: np.ndarray,
+           L: float) -> bool:
+    """Whether some cycle winds around the torus.
+
+    Edge k runs from vertex ``lo[k]`` to ``hi[k] >= lo[k]`` with displacement
+    ``disp[k]``; ``label`` holds the component label of vertices 0..n-1.  A
+    cycle's displacements add up to a multiple of the side 2L.  Potentials
+    are summed along a spanning forest, each tree edge adding its own
+    displacement (which may exceed L); the graph winds iff some edge
+    disagrees with them by more than L, whichever forest and whichever of
+    several parallel edges is used.
+    """
+    n = len(label)
     # one BFS from a virtual vertex n joined to the first vertex of each component
-    _, label = connected_components(coo_matrix((np.ones(m), (lo, hi)), shape=(n, n)),
-                                    directed=False)
     firsts = np.unique(label, return_index=True)[1]
     k = len(firsts)
-    forest = coo_matrix((np.ones(m + k), (np.concatenate([lo, np.full(k, n)]),
-                                          np.concatenate([hi, firsts]))), shape=(n + 1, n + 1))
+    forest = coo_matrix((np.ones(len(lo) + k), (np.concatenate([lo, np.full(k, n)]),
+                                                np.concatenate([hi, firsts]))),
+                        shape=(n + 1, n + 1))
     _, up = breadth_first_order(forest.tocsr(), n, directed=False, return_predecessors=True)
     up[n] = n
-    # pot[v] is v's potential minus that of up[v], the step along its tree
-    # edge (zero at a component's first vertex); pointer jumping sums the
-    # steps up to the virtual root
-    v = np.arange(n)
-    p = up[:n].copy()
-    p[firsts] = firsts
-    step = _min_image(anchors[np.maximum(p, v)] - anchors[np.minimum(p, v)], L)
+    # pot[v] is v's potential minus that of up[v]: the displacement of an
+    # edge joining them, any one of several parallel ones (zero at a
+    # component's first vertex); pointer jumping sums these steps up to the
+    # virtual root
     pot = np.zeros((n + 1, 2))
-    pot[:n] = np.where((p < v)[:, None], step, -step)
+    down, rise = up[hi] == lo, up[lo] == hi
+    pot[hi[down]] = disp[down]
+    pot[lo[rise]] = -disp[rise]
     while (up != n).any():
         pot += pot[up]
         up = up[up]
@@ -132,28 +142,6 @@ def home_anchors(devices_by_id, g: StreetGraph) -> np.ndarray:
     for did, d in devices_by_id.items():
         anchors[did] = tuple(coords(d.home, g))
     return anchors
-
-
-def _has_winding_cycle(vertices, adj, L: float) -> bool:
-    """BFS potential assignment; an inconsistent non-tree edge means a wrap."""
-    pot: dict = {}
-    for start in vertices:
-        if start in pot or not adj.get(start):
-            continue
-        pot[start] = (0.0, 0.0)
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            px, py = pot[u]
-            for v, dx, dy in adj[u]:
-                cand = (px + dx, py + dy)
-                known = pot.get(v)
-                if known is None:
-                    pot[v] = cand
-                    dq.append(v)
-                elif abs(known[0] - cand[0]) > L or abs(known[1] - cand[1]) > L:
-                    return True
-    return False
 
 
 # -- street thinning and the long-street graph ---------------------------------
@@ -187,6 +175,7 @@ def thinned_street_graph(g: StreetGraph, a: float) -> StreetGraph:
 class AuxGraph:
     """Long streets plus shortcut edges between nearby long-street endpoints.
 
+    ``vertices`` are the long streets' endpoints in ascending id order;
     ``street_edges`` are the surviving long streets; ``aux_edges`` connect
     endpoint pairs whose shortest-path distance along the full street system
     is within the reach bound, annotated with the path displacement (used
@@ -203,12 +192,15 @@ class AuxGraph:
 def long_edge_percolation_graph(g: StreetGraph, a: float, b: float) -> AuxGraph:
     """Auxiliary graph: streets of length >= a, endpoints linked within b.
 
-    Distances are measured along the full street system with a truncated
-    multi-source Dijkstra (radius b) from every long-street endpoint.
+    The long streets are those of :func:`thinned_street_graph`; the vertices
+    are their endpoints, so a crossing that no long street meets is left
+    out even at ``a = 0``.  Distances are measured along the full street
+    system with a truncated multi-source Dijkstra (radius b) from every
+    long-street endpoint.
     """
     if a < 0 or b < 0:
         raise ValueError("thresholds must be non-negative")
-    long_edges = {eid: e for eid, e in g.edges.items() if e.length >= a}
+    long_edges = thinned_street_graph(g, a).edges
     endpoints = sorted({v for e in long_edges.values() for v in (e.u, e.v)})
     endpoint_set = set(endpoints)
     adj = g.adjacency()
@@ -241,39 +233,31 @@ def long_edge_percolation_graph(g: StreetGraph, a: float, b: float) -> AuxGraph:
                     px, py = disp[u]
                     disp[v] = (px + ex, py + ey)
                     heappush(heap, (nd, v))
-    street_edges = {
-        eid: Street(e.id, e.u, e.v, e.length, e.delta, e.cells, e.wrap_info)
-        for eid, e in long_edges.items()
-    }
     total = sum(e.length for e in long_edges.values())
-    return AuxGraph(tuple(endpoints), street_edges, aux, g.L, total)
+    return AuxGraph(tuple(endpoints), long_edges, aux, g.L, total)
 
 
 def aux_largest_component(aux: AuxGraph) -> tuple[float, bool]:
     """(fraction of long-street length in the largest component, wraps flag).
 
     The wrap flag is true when any component contains a cycle with nonzero
-    winding number around either torus axis.
+    winding number around either torus axis (:func:`_winds`, as in the
+    sweep).  Streets carry their deltas and aux edges their path
+    displacements, so an edge may span more than half the side.
     """
     if not aux.vertices:
         return 0.0, False
     streets = list(aux.street_edges.values())
-    adj: dict[int, list[tuple[int, float, float]]] = {v: [] for v in aux.vertices}
-    for e in streets:
-        dx, dy = e.delta
-        adj[e.u].append((e.v, dx, dy))
-        adj[e.v].append((e.u, -dx, -dy))
-    for (u, v), (dx, dy) in aux.aux_edges.items():
-        adj[u].append((v, dx, dy))
-        adj[v].append((u, -dx, -dy))
-    pairs = np.array([(e.u, e.v) for e in streets] + list(aux.aux_edges),
-                     dtype=np.intp).reshape(-1, 2)
-    label = dict(zip(aux.vertices, _component_labels(aux.vertices, pairs)))
+    ij = np.searchsorted(aux.vertices, [(e.u, e.v) for e in streets] + list(aux.aux_edges))
+    disp = np.array([e.delta for e in streets] + list(aux.aux_edges.values()))
+    flip = ij[:, 0] > ij[:, 1]  # displacements run from the lower position to the higher
+    disp[flip] = -disp[flip]
+    lo, hi = np.sort(ij, axis=1).T
+    label = _labels(len(aux.vertices), lo, hi)
     # bincount adds the weights in street order, as a running sum per label
-    mass = np.bincount([label[e.u] for e in streets], weights=[e.length for e in streets])
+    mass = np.bincount(label[lo[:len(streets)]], weights=[e.length for e in streets])
     fraction = float(mass.max()) / aux.total_long_length if aux.total_long_length > 0 else 0.0
-    wraps = _has_winding_cycle(aux.vertices, adj, aux.L)
-    return fraction, wraps
+    return fraction, _winds(lo, hi, disp, label, aux.L)
 
 
 # -- velocity sweep ---------------------------------------------------------------

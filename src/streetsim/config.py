@@ -235,27 +235,26 @@ def build_geometry(cfg: ExperimentConfig, seed: int) -> StreetGraph:
 def build_seed_state(cfg: ExperimentConfig, seed: int):
     """Geometry plus fully initialized devices for one experiment seed.
 
-    Returns (graph, devices, velocity distribution).  Devices carry sampled
-    destinations, velocities and shortest paths.  The waypoint kernel runs
-    once, on every device's home, from the ``waypoints`` stream; then each
-    device draws its velocity from the ``velocities`` stream, in device
-    order, and one ``assign_commute`` call gives every device its path.  The
-    kernels draw the same numbers in the same order as one call per device
-    would, so the destinations are those of such a loop.  The paths are
-    ``shortest_path``'s: ``assign_commute`` batches the searches and keeps a
-    batched path only where a certificate proves it equal, and computes
-    every other device's path with ``shortest_path`` itself.
+    Returns (graph, devices, velocity distribution).  The graph is
+    :func:`build_geometry`'s.  Devices carry sampled destinations, velocities
+    and shortest paths.  The waypoint kernel runs once, on every device's
+    home, from the ``waypoints`` stream (only kappa' reads the Voronoi cell
+    index, so only it builds one); then each device draws its velocity from
+    the ``velocities`` stream, in device order, and one ``assign_commute``
+    call gives every device its path.  The kernels draw the same numbers in
+    the same order as one call per device would, so the destinations are
+    those of such a loop.  The paths are ``shortest_path``'s:
+    ``assign_commute`` batches the searches and keeps a batched path only
+    where a certificate proves it equal, and computes every other device's
+    path with ``shortest_path`` itself.
     """
+    g = build_geometry(cfg, seed)
     streams = rng_streams(seed)
-    g = generate_pvt(
-        cfg.L, streams["geometry"], street_intensity=cfg.street_intensity_km_per_km2
-    )
-    idx = build_cell_index(g)
     devices = sample_devices(g, cfg.lambda_per_km / 1000.0, streams["placement"])
     homes = [d.home for d in devices]
     if cfg.kernel.kind == "kappa_prime":
-        dests = sample_destination_kappa_prime(homes, cfg.kernel.radius_m, g, idx,
-                                               streams["waypoints"])
+        dests = sample_destination_kappa_prime(homes, cfg.kernel.radius_m, g,
+                                               build_cell_index(g), streams["waypoints"])
     else:
         dests = sample_destination_kappa_doubleprime(homes, cfg.kernel.radius_m, g,
                                                      streams["waypoints"])

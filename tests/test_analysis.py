@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streetsim.analysis import (
-    _has_winding_cycle,
     aux_largest_component,
     cluster_size_histogram,
     connection_graph_wraps,
@@ -18,10 +17,11 @@ from streetsim.analysis import (
 )
 from streetsim.config import parse_config
 from streetsim.engine import ConnectionGraph
-from streetsim.streets import generate_pvt
-from streetsim.torus import min_image_delta
+from streetsim.streets import Street, StreetGraph, generate_pvt
+from streetsim.torus import TorusPoint, min_image_delta
 
 from conftest import make_graph
+from winding_oracle import _has_winding_cycle
 
 
 def bfs_components(cg: ConnectionGraph):
@@ -253,6 +253,63 @@ class TestAuxComponent:
                 aux = long_edge_percolation_graph(g, a, b)
                 _, wraps = aux_largest_component(aux)
                 assert wraps == lift_wraps_oracle(aux, g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph_seed=st.integers(0, 2**32 - 1), L=st.sampled_from([150.0, 300.0, 500.0]),
+           a_q=st.one_of(st.just(None), st.floats(0.0, 0.95)),
+           b=st.one_of(st.tuples(st.just("median"), st.floats(0.0, 10.0)),
+                       st.tuples(st.just("L"), st.floats(1.0, 3.0))))
+    def test_wraps_match_bfs_oracle(self, graph_seed, L, a_q, b):
+        # a_q None is a = 0 (every street is long); ("L", m) puts b >= L, so
+        # aux paths may run further than half the side
+        g = generate_pvt(L, np.random.default_rng(graph_seed), seed_count=10)
+        lengths = sorted(e.length for e in g.edges.values())
+        a = 0.0 if a_q is None else float(np.quantile(lengths, a_q))
+        unit, mult = b
+        b = mult * (float(np.quantile(lengths, 0.5)) if unit == "median" else L)
+        aux = long_edge_percolation_graph(g, a, b)
+        _, wraps = aux_largest_component(aux)
+        assert wraps is _has_winding_cycle(aux.vertices, aux_adjacency(aux), aux.L)
+
+    @pytest.mark.parametrize("verts, streets, a, b, expected", [
+        # a chain 150 m long end to end that does not close: the aux edge
+        # joining its ends is a tree edge longer than L
+        ({0: (-90.0, 0.0), 1: (-30.0, 0.0), 2: (0.0, 0.0), 3: (60.0, 0.0)},
+         [(0, 1, (60.0, 0.0)), (1, 2, (30.0, 0.0)), (2, 3, (60.0, 0.0))], 50.0, 200.0, False),
+        # two streets between the same crossings, one the short way and one
+        # the long way round
+        ({0: (0.0, 0.0), 1: (50.0, 0.0)}, [(0, 1, (50.0, 0.0)), (0, 1, (-150.0, 0.0))],
+         0.0, 0.0, True),
+        # the same street twice, once given from its far end
+        ({0: (0.0, 0.0), 1: (70.0, 0.0)}, [(0, 1, (70.0, 0.0)), (1, 0, (-70.0, 0.0))],
+         0.0, 0.0, False),
+        # a street from a crossing back to itself once around the torus
+        ({0: (0.0, 0.0), 1: (0.0, 50.0)}, [(0, 0, (0.0, 200.0)), (0, 1, (0.0, 50.0))],
+         0.0, 0.0, True),
+    ], ids=["tree-edge-longer-than-L", "parallel-different-windings",
+            "parallel-same-winding", "self-loop-full-side"])
+    def test_hand_built_windings(self, verts, streets, a, b, expected):
+        L = 100.0
+        vertices = {vid: TorusPoint(x, y) for vid, (x, y) in verts.items()}
+        edges = {eid: Street(eid, u, v, math.hypot(*delta), delta, (0, 0))
+                 for eid, (u, v, delta) in enumerate(streets)}
+        aux = long_edge_percolation_graph(StreetGraph(L, vertices, edges, {}), a, b)
+        _, wraps = aux_largest_component(aux)
+        assert wraps is expected
+        assert wraps is _has_winding_cycle(aux.vertices, aux_adjacency(aux), L)
+
+
+def aux_adjacency(aux):
+    """The oracle's adjacency of an aux graph: street deltas and path displacements."""
+    adj = {v: [] for v in aux.vertices}
+    for e in aux.street_edges.values():
+        dx, dy = e.delta
+        adj[e.u].append((e.v, dx, dy))
+        adj[e.v].append((e.u, -dx, -dy))
+    for (u, v), (dx, dy) in aux.aux_edges.items():
+        adj[u].append((v, dx, dy))
+        adj[v].append((u, -dx, -dy))
+    return adj
 
 
 def tiny_config(**overrides):

@@ -444,6 +444,61 @@ class TestGenStreetsAndThin:
             assert fh.read() == stdout
         assert len(stdout.splitlines()) == 2
 
+    def test_thin_golden_bytes(self, tmp_path, capsys):
+        # pins the census CSV over an (a, b) grid on one graph (L = 350 m):
+        # a = 0 keeps every street, b = 0 adds no aux edge, b >= L lets aux
+        # paths run longer than half the side; both wrap outcomes occur
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        assert main(["gen-streets", path, "--out", str(graph_path)]) == 0
+        capsys.readouterr()
+        digests = {}
+        for a in ("0", "30", "80", "150"):
+            for b in ("0", "100", "400", "1000"):
+                census = tmp_path / f"census-{a}-{b}.csv"
+                assert main(["thin", str(graph_path), "--a", a, "--b", b,
+                             "--out", str(census)]) == 0
+                digests[(a, b)] = hashlib.sha256(census.read_bytes()).hexdigest()
+        assert digests == {
+            ("0", "0"): "347f3ba2a2907fe25f698b470db1cc8f638a6f3c4aed31cde4d0e1af206e44e8",
+            ("0", "100"): "5db64881ff3eee9aef467be77952333b91434da11887f7155ddf1b05d4d56229",
+            ("0", "400"): "cc30220e0fae895c86fc24f43921ec5ba3ce73e373232ada5a6e1654ce396f96",
+            ("0", "1000"): "cba82ae11a73ea99eeae90248783eb9f0eb60e495a8120636b60a35551bc6d91",
+            ("30", "0"): "785edd2efef84499d1d755fe2d8a7cde59eda96decdf1268e12ed52913bac8c0",
+            ("30", "100"): "6305ca1a2cc789f94ea32f715d81df20df682b6117ec7ed03ec9e32ee00baad7",
+            ("30", "400"): "bd7bdb53a3a2c812761c5f8732a344977ef76ea790445af4c1e7b97dd04323b1",
+            ("30", "1000"): "cadb671c7e0f57c2ab36b0f78eef2d5f60afcf6788866fcd7dc0087231a64fbd",
+            ("80", "0"): "e189e31c9b287b80e06362fa40b6aae5cebda95834d668b6c3d87d955d9bbf66",
+            ("80", "100"): "8515274051b6366ecdb55988c97957eb3a3983b1a8e9a50619c395e4a2c9dd28",
+            ("80", "400"): "ee45ed25588f3094df6cf4d917251894581deea0ec007bfc121f5d4d2af838c5",
+            ("80", "1000"): "37e3cb1d76ec4267a1ea987e12c80faf82dec616b5e248236601b3e82c97f759",
+            ("150", "0"): "bddabc30a441d00474e5fd8a47bf3c997a9babfe7ebee56844b4b777274b8580",
+            ("150", "100"): "73c76c15b8b5511a55d3c702ee19c1599f4a5e6900b458e3d4203b4cfaba8301",
+            ("150", "400"): "14ee38716c905b323b364c2c800c908a5334df5827b2702d484f46ee207fc60d",
+            ("150", "1000"): "532d754bc22916420b24985bb01012567b0f4919cb6c6fd41564d8ceb7c11c63",
+        }
+
+    def test_thin_skips_isolated_crossing(self, tmp_path, capsys):
+        # at a = 0 the thinned graph keeps every crossing, but the census
+        # counts only the endpoints of long streets
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        assert main(["gen-streets", path, "--out", str(graph_path)]) == 0
+        data = json.loads(graph_path.read_text())
+        data["vertices"].append({"id": 1 + max(v["id"] for v in data["vertices"]),
+                                 "x": 0.5, "y": -0.5})
+        lonely = tmp_path / "lonely.json"
+        lonely.write_text(json.dumps(data))
+        capsys.readouterr()
+        census = []
+        for graph in (graph_path, lonely):
+            assert main(["thin", str(graph), "--a", "0", "--b", "100"]) == 0
+            census.append(capsys.readouterr().out)
+        assert census[0] == census[1]
+        n_endpoints = int(census[1].splitlines()[1].split(",")[3])
+        assert n_endpoints == len(StreetGraph.from_json(graph_path).vertices)
+        assert n_endpoints + 1 == len(StreetGraph.from_json(lonely).vertices)
+
     def test_thin_rejects_missing_graph(self, tmp_path):
         assert main(["thin", str(tmp_path / "nope.json"), "--a", "1", "--b", "1"]) == 2
 
