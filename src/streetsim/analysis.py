@@ -18,12 +18,13 @@ from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .config import build_seed_state
 from .engine import ConnectionGraph, derived_connection_graph, initialize, run
-from .mobility import coords
-from .streets import Street, StreetGraph, VoronoiCell
+from .mobility import street_coords
+from .streets import Street, StreetGraph, VoronoiCell, component_labels
+from .torus import min_image_deltas
 
 __all__ = [
     "largest_cluster_fraction",
@@ -42,36 +43,18 @@ __all__ = [
 ]
 
 
-def _labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of n vertices joined by edges lo[k]-hi[k]."""
-    adj = coo_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
-    return connected_components(adj, directed=False)[1]
-
-
-def _component_labels(vertices, pairs: np.ndarray) -> np.ndarray:
-    """Connected-component label of each vertex, in ``vertices`` order.
-
-    ``pairs`` is an (m, 2) array of undirected edges given by vertex id.
-    """
-    ids = np.asarray(vertices)
-    order = np.argsort(ids)
-    ij = order[np.searchsorted(ids, pairs, sorter=order)]
-    return _labels(len(ids), ij[:, 0], ij[:, 1])
-
-
 def largest_cluster_fraction(cg: ConnectionGraph) -> float:
     """Share of devices in the largest connected component."""
     if not cg.vertices:
         raise ValueError("connection graph has no vertices")
-    return int(np.bincount(_component_labels(cg.vertices, cg.pairs)).max()) / len(cg.vertices)
+    return int(np.bincount(cg.labels).max()) / len(cg.vertices)
 
 
 def cluster_size_histogram(cg: ConnectionGraph) -> list[tuple[int, int]]:
     """Sorted (component size, count) pairs."""
     if not cg.vertices:
         return []
-    sizes, counts = np.unique(np.bincount(_component_labels(cg.vertices, cg.pairs)),
-                              return_counts=True)
+    sizes, counts = np.unique(np.bincount(cg.labels), return_counts=True)
     return [(int(s), int(c)) for s, c in zip(sizes, counts)]
 
 
@@ -83,20 +66,23 @@ def connection_graph_wraps(cg: ConnectionGraph, anchors, g: StreetGraph) -> bool
     builds it) and each edge carries the minimal-image displacement between
     homes; a cycle whose displacements do not cancel wraps the torus
     (:func:`_winds`, as for the street paths of :func:`aux_largest_component`).
+    The components are the graph's own ``labels``, which
+    :func:`largest_cluster_fraction` reads too.
     """
     if not len(cg.pairs):
         return False
-    ends = np.sort(cg.pairs, axis=1)  # displacements run from the lower id to the higher
-    lo, hi = ends[:, 0], ends[:, 1]
-    disp = _min_image(anchors[hi] - anchors[lo], g.L)
-    return _winds(lo, hi, disp, _labels(len(anchors), lo, hi), g.L)
+    i, j = cg.pairs.T
+    # anchor rows without a vertex are components of their own
+    label = np.arange(len(anchors)) + len(cg.vertices)
+    label[np.asarray(cg.vertices, dtype=np.intp)] = cg.labels
+    return _winds(i, j, min_image_deltas(anchors[j] - anchors[i], g.L), label, g.L)
 
 
 def _winds(lo: np.ndarray, hi: np.ndarray, disp: np.ndarray, label: np.ndarray,
            L: float) -> bool:
     """Whether some cycle winds around the torus.
 
-    Edge k runs from vertex ``lo[k]`` to ``hi[k] >= lo[k]`` with displacement
+    Edge k runs from vertex ``lo[k]`` to ``hi[k]`` with displacement
     ``disp[k]``; ``label`` holds the component label of vertices 0..n-1.  A
     cycle's displacements add up to a multiple of the side 2L.  Potentials
     are summed along a spanning forest, each tree edge adding its own
@@ -127,11 +113,6 @@ def _winds(lo: np.ndarray, hi: np.ndarray, disp: np.ndarray, label: np.ndarray,
     return bool((np.abs(pot[lo] + disp - pot[hi]) > L).any())
 
 
-def _min_image(d: np.ndarray, L: float) -> np.ndarray:
-    """Elementwise :func:`~streetsim.torus.min_image_delta` of canonical-point differences."""
-    return np.where(d < -L, d + 2.0 * L, np.where(d >= L, d - 2.0 * L, d))
-
-
 def home_anchors(devices_by_id, g: StreetGraph) -> np.ndarray:
     """Home coordinates by device id, the anchors of :func:`connection_graph_wraps`.
 
@@ -139,8 +120,8 @@ def home_anchors(devices_by_id, g: StreetGraph) -> np.ndarray:
     NaN.  Homes do not move, so a sweep computes them once per seed.
     """
     anchors = np.full((max(devices_by_id, default=-1) + 1, 2), np.nan)
-    for did, d in devices_by_id.items():
-        anchors[did] = tuple(coords(d.home, g))
+    ids = np.fromiter(devices_by_id, dtype=np.intp, count=len(devices_by_id))
+    anchors[ids] = street_coords([d.home for d in devices_by_id.values()], g)
     return anchors
 
 
@@ -253,7 +234,7 @@ def aux_largest_component(aux: AuxGraph) -> tuple[float, bool]:
     flip = ij[:, 0] > ij[:, 1]  # displacements run from the lower position to the higher
     disp[flip] = -disp[flip]
     lo, hi = np.sort(ij, axis=1).T
-    label = _labels(len(aux.vertices), lo, hi)
+    label = component_labels(len(aux.vertices), lo, hi)
     # bincount adds the weights in street order, as a running sum per label
     mass = np.bincount(label[lo[:len(streets)]], weights=[e.length for e in streets])
     fraction = float(mass.max()) / aux.total_long_length if aux.total_long_length > 0 else 0.0

@@ -209,6 +209,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         v.append("seeds: at least one seed required")
     elif min(cfg.seeds) < 0:
         v.append("seeds: must be non-negative")
+    elif len(set(cfg.seeds)) != len(cfg.seeds):
+        v.append("seeds: must be distinct")
     if cfg.sweep is not None:
         if cfg.sweep.parameter != "velocity_scale":
             v.append("sweep.parameter: only 'velocity_scale' is supported")

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mobility import Device, RuntimeInvariantError, advance_to
-from .streets import Street, StreetGraph, StreetPosition
+from .streets import Street, StreetGraph, StreetPosition, component_labels
 
 __all__ = [
     "EventKind",
@@ -95,9 +95,11 @@ class ConnectionGraph:
     The edges are kept in either of two forms and the other is made on its
     first read: ``edges``, a frozenset of ``(i, j)`` tuples, and ``pairs``,
     an (m, 2) integer array with one row per edge (in no particular order).
+    ``labels``, the connected component of each vertex, is also made on its
+    first read, so the statistics of one graph share one labelling.
     """
 
-    __slots__ = ("vertices", "_edges", "_pairs")
+    __slots__ = ("vertices", "_edges", "_pairs", "_labels")
 
     def __init__(self, vertices: tuple[int, ...], edges: frozenset | None = None, *,
                  pairs: np.ndarray | None = None):
@@ -106,6 +108,7 @@ class ConnectionGraph:
         self.vertices = vertices
         self._edges = edges
         self._pairs = pairs
+        self._labels = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -118,6 +121,16 @@ class ConnectionGraph:
         if self._pairs is None:
             self._pairs = np.array(list(self._edges), dtype=np.intp).reshape(-1, 2)
         return self._pairs
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Connected-component label of each vertex, in ``vertices`` order."""
+        if self._labels is None:
+            ids = np.asarray(self.vertices, dtype=np.intp)
+            order = np.argsort(ids)
+            ij = order[np.searchsorted(ids, self.pairs, sorter=order)]
+            self._labels = component_labels(len(ids), ij[:, 0], ij[:, 1])
+        return self._labels
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from .streets import (
     StreetPosition,
     project_to_streets,
 )
-from .torus import TorusPoint, wrap
+from .torus import TorusPoint, wrap_points
 
 __all__ = [
     "Device",
@@ -37,6 +38,7 @@ __all__ = [
     "PositiveNormalVelocity",
     "RuntimeInvariantError",
     "coords",
+    "street_coords",
     "sample_devices",
     "sample_destination_kappa_prime",
     "sample_destination_kappa_doubleprime",
@@ -223,17 +225,30 @@ def sample_velocity(dist, rng: np.random.Generator) -> float:
 # -- positions and coordinates ----------------------------------------------
 
 
-def coords(pos: StreetPosition, g: StreetGraph) -> TorusPoint:
-    """Torus coordinates of a street position: (1-p)*v1 + p*v2, wrapped.
+def street_coords(positions: Sequence[StreetPosition], g: StreetGraph) -> np.ndarray:
+    """Torus coordinates of many street positions, one (x, y) row each.
 
-    For streets crossing the torus boundary the interpolation runs along the
-    unwrapped image of the far endpoint before wrapping.
+    A position is (1-p)*v1 + p*v2, wrapped: the interpolation runs from the
+    street's ``u`` along its unwrapped ``delta`` (so across the torus
+    boundary for streets that cross it) and then wraps.  The same float
+    operations as one position at a time, on arrays.
     """
-    e = g.edges[pos.street]
-    ux, uy = g.vertices[e.u]
-    dx, dy = e.delta
-    t = pos.p if pos.v1 == e.u else 1.0 - pos.p
-    return wrap((ux + t * dx, uy + t * dy), g.L)
+    arr = g.street_arrays()
+    cols = np.fromiter(chain.from_iterable(positions), dtype=float,
+                       count=4 * len(positions)).reshape(-1, 4)
+    streets = cols[:, 0].astype(np.intp)
+    rows = np.minimum(np.searchsorted(arr.ids, streets), max(len(arr.ids) - 1, 0))
+    if streets.size and (arr.ids[rows] != streets).any():
+        raise KeyError(int(streets[arr.ids[rows] != streets][0]))
+    p = cols[:, 3]
+    t = np.where(cols[:, 1] == arr.u[rows], p, 1.0 - p)
+    return wrap_points(np.column_stack((arr.ux[rows] + t * arr.dx[rows],
+                                        arr.uy[rows] + t * arr.dy[rows])), g.L)
+
+
+def coords(pos: StreetPosition, g: StreetGraph) -> TorusPoint:
+    """Torus coordinates of one street position: :func:`street_coords` of one row."""
+    return TorusPoint(*street_coords([pos], g)[0].tolist())
 
 
 def position_at(d: Device, t: float) -> float:
@@ -313,13 +328,15 @@ def sample_destination_kappa_prime(
     """
     if not 0 < R < g.L:
         raise ValueError(f"kernel radius must be in (0, L); got R={R}, L={g.L}")
-    points = []
-    for home, (u1, u2) in zip(homes, rng.uniform(size=(len(homes), 2)).tolist()):
-        c = coords(home, g)
-        rad = math.sqrt(u1) * R
-        points.append(wrap((c.x + rad * math.sin(2.0 * math.pi * u2),
-                            c.y + rad * math.cos(2.0 * math.pi * u2)), g.L))
-    return project_to_streets(points, g, idx)
+    u = rng.uniform(size=(len(homes), 2))
+    centers = street_coords(homes, g)
+    rad = np.sqrt(u[:, 0]) * R
+    # math.sin and math.cos: np.sin and np.cos may differ in the last bit
+    angle = (2.0 * math.pi * u[:, 1]).tolist()
+    sin = np.array([math.sin(a) for a in angle], dtype=float)
+    cos = np.array([math.cos(a) for a in angle], dtype=float)
+    points = np.column_stack((centers[:, 0] + rad * sin, centers[:, 1] + rad * cos))
+    return project_to_streets(wrap_points(points, g.L), g, idx)
 
 
 def _disc_intervals(arr: StreetArrays, rows: np.ndarray, cx: np.ndarray, cy: np.ndarray,
@@ -433,7 +450,7 @@ def sample_destination_kappa_doubleprime(
     grid = g.street_grid()
     L = g.L
     side = 2.0 * L
-    centers = np.array([tuple(coords(h, g)) for h in homes], dtype=float).reshape(n, 2)
+    centers = street_coords(homes, g)
     out: list = [None] * n
     todo = np.arange(n)
     radius = L_k

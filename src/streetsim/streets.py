@@ -12,6 +12,10 @@ the edges are then imported back onto the torus:
   where it pierces the cell boundary (display metadata);
 * neither endpoint inside -> skipped (an image of it is imported instead).
 
+The import, like the candidate-cell grid of :func:`build_cell_index`, runs
+on numpy arrays over all ridges and cells at once; ``tests/pvt_oracle.py``
+keeps the one-ridge-at-a-time and one-cell-at-a-time walks they must match.
+
 Degenerate seed configurations (near-cocircular points, unmatched image
 vertices) have probability zero and are handled by resampling.
 """
@@ -29,7 +33,14 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Voronoi, cKDTree
 
-from .torus import TorusPoint, boundary_crossing_points, min_image_delta, torus_distance, wrap
+from .torus import (
+    TorusPoint,
+    boundary_crossing_points,
+    min_image_delta,
+    min_image_deltas,
+    torus_distance,
+    wrap_points,
+)
 
 __all__ = [
     "StreetPosition",
@@ -242,6 +253,15 @@ def calibrate_seed_intensity(street_intensity: float) -> float:
     return (street_intensity / 2.0) ** 2
 
 
+def component_labels(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n vertices joined by edges lo[k]-hi[k].
+
+    Vertex 0 is in component 0.
+    """
+    adj = coo_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
+    return connected_components(adj, directed=False)[1]
+
+
 _OFFSETS = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 _OFFSETS.sort(key=lambda o: (o != (0, 0), o))  # central copy first
 
@@ -252,6 +272,13 @@ def build_from_seeds(seeds: np.ndarray, L: float) -> StreetGraph:
     ``seeds`` is an (n, 2) array of canonical torus points.  Raises
     :class:`DegenerateTessellation` for rejected configurations (callers
     resample) and ``ValueError`` for fewer than 3 seeds.
+
+    The ridges are screened on arrays: which ones reach into the cell, their
+    deltas, the matching of wrapped endpoints to their images and the
+    crossing degrees.  Street ids follow Qhull's ridge order; of two imports
+    of the same street from either side the first wins, so only ridges that
+    share both crossings are compared one by one.  Lengths are
+    ``math.hypot`` (``np.hypot`` may differ in the last bit).
     """
     seeds = np.asarray(seeds, dtype=float)
     n = len(seeds)
@@ -268,104 +295,115 @@ def build_from_seeds(seeds: np.ndarray, L: float) -> StreetGraph:
     inside_idx = np.nonzero(inside_mask)[0]
     if len(inside_idx) == 0:
         raise DegenerateTessellation("no Voronoi vertices inside the fundamental cell")
-    vid_of = {int(vi): k for k, vi in enumerate(inside_idx)}
     inside_tree = cKDTree(verts[inside_idx])
     if len(inside_idx) >= 2 and inside_tree.query_pairs(2.0 * _MATCH_RADIUS):
         raise DegenerateTessellation("near-coincident Voronoi vertices")
+    vid_of = np.full(len(verts), -1, dtype=np.intp)
+    vid_of[inside_idx] = np.arange(len(inside_idx))
 
-    def torus_vid(vi: int) -> int:
-        k = vid_of.get(vi)
-        if k is not None:
-            return k
-        w = wrap(verts[vi], L)
-        dist, j = inside_tree.query([w.x, w.y])
-        if dist > _MATCH_RADIUS:
+    # a ridge of a planar Voronoi diagram has two vertices
+    ridges = np.fromiter(chain.from_iterable(vor.ridge_vertices), dtype=np.intp,
+                         count=2 * len(vor.ridge_vertices)).reshape(-1, 2)
+    # index -1, Qhull's vertex at infinity, reads as outside
+    ins = np.append(inside_mask, False)
+    a_in = ins[ridges[:, 0]]
+    reach = a_in | ins[ridges[:, 1]]
+    finite = (ridges >= 0).all(axis=1)
+    if (reach & ~finite).any():
+        # infinite ridges live on the hull of the 9-copy cloud; their finite
+        # endpoint must not reach into the fundamental cell
+        raise DegenerateTessellation("infinite ridge touches the fundamental cell")
+    # ridges with an endpoint inside, in ridge order; a, the first, is inside
+    keep = np.flatnonzero(reach & finite)
+    ab = ridges[keep]
+    swap = ~a_in[keep]
+    ab[swap] = ab[swap, ::-1]
+    a, b = ab[:, 0], ab[:, 1]
+    delta = verts[b] - verts[a]
+    if (np.abs(delta) >= L).any():
+        # edge spans half the torus; minimal-image reconstruction of its
+        # geometry would be ambiguous
+        raise DegenerateTessellation("street longer than the torus half-side")
+    u_t = vid_of[a]
+    v_t = vid_of[b]
+    crosses = np.flatnonzero(v_t < 0)
+    # outside endpoints, wrapped, and the inside vertices they are images of
+    far = wrap_points(verts[b[crosses]], L)
+    if crosses.size:
+        dist, image = inside_tree.query(far)
+        if (dist > _MATCH_RADIUS).any():
             raise DegenerateTessellation("wrapped vertex has no matching image")
-        return int(j)
+        v_t[crosses] = image
+    # math.hypot, not np.hypot, which may differ in the last bit
+    dx, dy = delta.T.tolist()
+    lengths = list(map(math.hypot, dx, dy))
+    if min(lengths, default=1.0) <= 1e-9:
+        raise DegenerateTessellation("zero-length ridge")
+    wrap_pts: list = [None] * len(lengths)
+    for k, p, q in zip(crosses.tolist(), verts[a[crosses]].tolist(), far.tolist()):
+        wrap_pts[k] = boundary_crossing_points(p, q, L)
+        if wrap_pts[k] is None:
+            raise DegenerateTessellation("wrapped edge does not cross the boundary")
 
-    vertices = {k: TorusPoint(float(verts[vi, 0]), float(verts[vi, 1])) for vi, k in vid_of.items()}
-
-    edges: dict[int, Street] = {}
-    by_key: dict[tuple[int, int], list[int]] = {}
-    next_eid = 0
-    for (p1, p2), (a, b) in zip(vor.ridge_points, vor.ridge_vertices):
-        if a < 0 or b < 0:
-            # infinite ridges live on the hull of the 9-copy cloud; their
-            # finite endpoint must not reach into the fundamental cell
-            fin = b if a < 0 else a
-            if fin >= 0 and inside_mask[fin]:
-                raise DegenerateTessellation("infinite ridge touches the fundamental cell")
-            continue
-        a_in = bool(inside_mask[a])
-        b_in = bool(inside_mask[b])
-        if not (a_in or b_in):
-            continue
-        if not a_in:
-            a, b = b, a
-            a_in, b_in = b_in, a_in
-        va = verts[a]
-        vb = verts[b]
-        dx = float(vb[0] - va[0])
-        dy = float(vb[1] - va[1])
-        length = math.hypot(dx, dy)
-        if length <= 1e-9:
-            raise DegenerateTessellation("zero-length ridge")
-        if abs(dx) >= L or abs(dy) >= L:
-            # edge spans half the torus; minimal-image reconstruction of its
-            # geometry would be ambiguous
-            raise DegenerateTessellation("street longer than the torus half-side")
-        u_t = vid_of[a]
-        if b_in:
-            v_t = vid_of[b]
-            wrap_pts = None
+    # of the ridges joining the same two crossings, one within 1e-6 m of the
+    # length of an earlier kept one is the second import of the same street
+    # from the far side
+    n_v = len(inside_idx)
+    key = np.minimum(u_t, v_t) * n_v + np.maximum(u_t, v_t)
+    _, inverse, shared = np.unique(key, return_inverse=True, return_counts=True)
+    kept = np.ones(len(lengths), dtype=bool)
+    by_key: dict[int, list[float]] = {}
+    twins = np.flatnonzero(shared[inverse] > 1)
+    for k, pair in zip(twins.tolist(), key[twins].tolist()):
+        seen = by_key.setdefault(pair, [])
+        if any(abs(other - lengths[k]) <= 1e-6 for other in seen):
+            kept[k] = False
         else:
-            v_t = torus_vid(b)
-            wrap_pts = boundary_crossing_points((va[0], va[1]), wrap(vb, L), L)
-            if wrap_pts is None:
-                raise DegenerateTessellation("wrapped edge does not cross the boundary")
-        key = (u_t, v_t) if u_t <= v_t else (v_t, u_t)
-        dup = False
-        for other in by_key.get(key, ()):
-            if abs(edges[other].length - length) <= 1e-6:
-                dup = True  # second import of the same street from the far side
-                break
-        if dup:
-            continue
-        cell_pair = (int(p1) % n, int(p2) % n)
-        edges[next_eid] = Street(next_eid, u_t, v_t, length, (dx, dy), cell_pair, wrap_pts)
-        by_key.setdefault(key, []).append(next_eid)
-        next_eid += 1
+            seen.append(lengths[k])
+    kept = np.flatnonzero(kept)
+    u_t = u_t[kept]
+    v_t = v_t[kept]
+    delta = delta[kept]
+    cell_pairs = vor.ridge_points[keep[kept]] % n
+    lengths = [lengths[k] for k in kept.tolist()]
+    edges = {
+        eid: Street(eid, u, v, length, (x, y), (c1, c2), w)
+        for eid, (u, v, length, x, y, (c1, c2), w) in enumerate(zip(
+            u_t.tolist(), v_t.tolist(), lengths, *delta.T.tolist(), cell_pairs.tolist(),
+            [wrap_pts[k] for k in kept.tolist()]))
+    }
 
     # every crossing of a Voronoi skeleton has degree 3 (degenerate seed sets
     # produce merged higher-degree vertices and are rejected)
-    degree = {vid: 0 for vid in vertices}
-    for e in edges.values():
-        degree[e.u] += 1
-        degree[e.v] += 1
-    if any(d != 3 for d in degree.values()):
+    if (np.bincount(np.concatenate((u_t, v_t)), minlength=n_v) != 3).any():
         raise DegenerateTessellation("crossing with degree != 3")
 
     # connectivity sanity: the skeleton of a torus tessellation is connected
-    # (crossing ids are 0..len(vertices)-1)
-    ends = np.array([(e.u, e.v) for e in edges.values()], dtype=np.intp).reshape(-1, 2)
-    n_v = len(vertices)
-    adj = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n_v, n_v))
-    if connected_components(adj, directed=False)[0] != 1:
+    # (crossing ids are 0..n_v-1)
+    if component_labels(n_v, u_t, v_t).any():
         raise DegenerateTessellation("imported street graph is disconnected")
 
+    # each street in the boundary lists of the cells on either side (once
+    # when they coincide), in ascending street id
+    once = np.ones(cell_pairs.shape, dtype=bool)
+    once[:, 1] = cell_pairs[:, 1] != cell_pairs[:, 0]
+    owner = cell_pairs[once]
+    counts = np.bincount(owner, minlength=n)
+    if not counts.all():
+        raise DegenerateTessellation("cell without boundary streets")
+    eids = np.broadcast_to(np.arange(len(kept))[:, None], cell_pairs.shape)[once]
+    eids = eids[np.argsort(owner, kind="stable")].tolist()
+    bounds = np.cumsum(counts).tolist()
     cells = {
-        i: VoronoiCell(i, TorusPoint(float(seeds[i, 0]), float(seeds[i, 1])), [])
-        for i in range(n)
+        i: VoronoiCell(i, TorusPoint(x, y), eids[end - c:end])
+        for i, ((x, y), c, end) in enumerate(zip(seeds.tolist(), counts.tolist(), bounds))
     }
-    for eid, e in edges.items():
-        for cid in set(e.cells):
-            cells[cid].edge_ids.append(eid)
-    for c in cells.values():
-        c.edge_ids.sort()
-        if not c.edge_ids:
-            raise DegenerateTessellation("cell without boundary streets")
-
-    return StreetGraph(L, vertices, edges, cells)
+    inside = verts[inside_idx]
+    vertices = {k: TorusPoint(x, y) for k, (x, y) in enumerate(inside.tolist())}
+    graph = StreetGraph(L, vertices, edges, cells)
+    graph._street_arrays = StreetArrays.from_columns(
+        np.arange(len(kept)), u_t, v_t, inside[u_t], delta, np.array(lengths, dtype=float))
+    return graph
 
 
 def generate_pvt(
@@ -410,11 +448,14 @@ def generate_pvt(
 class StreetArrays(NamedTuple):
     """Street geometry as numpy columns, one row per street in ascending id.
 
-    ``xmin``..``ymax`` bound the unwrapped segment from ``u`` to
-    ``u + delta`` without padding.
+    ``u`` and ``v`` are the end crossings' ids, ``ux``, ``uy`` the
+    coordinates of ``u``.  ``xmin``..``ymax`` bound the unwrapped segment
+    from ``u`` to ``u + delta`` without padding.
     """
 
     ids: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     ux: np.ndarray
     uy: np.ndarray
     dx: np.ndarray
@@ -429,13 +470,21 @@ class StreetArrays(NamedTuple):
     def build(cls, g: StreetGraph) -> "StreetArrays":
         ids = sorted(g.edges)
         streets = [g.edges[eid] for eid in ids]
-        cols = np.array([(*g.vertices[e.u], *e.delta, e.length) for e in streets],
-                        dtype=float).reshape(-1, 5)
-        ux, uy, dx, dy, length = cols.T.copy()
+        ends = np.array([(e.u, e.v) for e in streets], dtype=np.intp).reshape(-1, 2)
+        cols = np.array([(g.vertices[e.u].x, g.vertices[e.u].y, *e.delta, e.length)
+                         for e in streets], dtype=float).reshape(-1, 5)
+        return cls.from_columns(np.array(ids, dtype=np.intp), ends[:, 0], ends[:, 1],
+                                cols[:, :2], cols[:, 2:4], cols[:, 4])
+
+    @classmethod
+    def from_columns(cls, ids, u, v, uxy, delta, length) -> "StreetArrays":
+        """The columns of streets ``ids`` from ``u`` to ``v``, ``u`` at ``uxy``."""
+        ux, uy = uxy.T.copy()
+        dx, dy = delta.T.copy()
         vx = ux + dx
         vy = uy + dy
         return cls(
-            np.array(ids, dtype=np.intp), ux, uy, dx, dy, length,
+            ids, u.copy(), v.copy(), ux, uy, dx, dy, length.copy(),
             np.where(dx >= 0.0, ux, vx), np.where(dx >= 0.0, vx, ux),
             np.where(dy >= 0.0, uy, vy), np.where(dy >= 0.0, vy, uy),
         )
@@ -529,7 +578,13 @@ def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellInde
     """Build the candidate-cell grid for nearest-seed lookups.
 
     The default square size is the mean cell diameter 1/sqrt(seed intensity),
-    giving O(1) candidates per square.
+    giving O(1) candidates per square.  A cell is listed in the squares its
+    unwrapped box, padded by 1e-9, covers; the box spans the seed and the
+    boundary street ends pulled to their image nearest the seed.  A cell
+    whose box spans the grid, or with an end 0.98 L or more from the seed on
+    an axis (a cell comparable to the torus itself), is listed everywhere,
+    and so is every cell when there are at most two.  The boxes of all cells
+    are computed at once on arrays.
     """
     L = g.L
     side = 2.0 * L
@@ -540,88 +595,104 @@ def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellInde
         raise ValueError("cell size must be positive")
     dim = max(1, math.ceil(side / cell_size))
     size = side / dim
-    buckets: list[set[int]] = [set() for _ in range(dim * dim)]
-    eps = 1e-9
     if len(g.cells) <= 2:
         # with one or two cells a torus cell is not the convex hull of its
         # boundary corners; list everything everywhere
-        all_cells = sorted(g.cells)
-        return CellIndex(L, dim, size, [list(all_cells) for _ in range(dim * dim)])
-    for cid, cell in g.cells.items():
-        # unwrap the cell polygon around its seed; corners are the boundary
-        # street endpoints pulled to their image nearest the seed
-        sx, sy = cell.seed.x, cell.seed.y
-        xmin = xmax = sx
-        ymin = ymax = sy
-        fallback = False
-        for eid in cell.edge_ids:
-            e = g.edges[eid]
-            for vid in (e.u, e.v):
-                pos = g.vertices[vid]
-                dx, dy = min_image_delta((sx, sy), pos, L)
-                if abs(dx) >= 0.98 * L or abs(dy) >= 0.98 * L:
-                    fallback = True  # cell comparable to the torus itself
-                    break
-                xmin = min(xmin, sx + dx)
-                xmax = max(xmax, sx + dx)
-                ymin = min(ymin, sy + dy)
-                ymax = max(ymax, sy + dy)
-            if fallback:
-                break
-        if fallback:
-            for b in buckets:
-                b.add(cid)
-            continue
-        i0 = math.floor((xmin - eps + L) / size)
-        i1 = math.floor((xmax + eps + L) / size)
-        j0 = math.floor((ymin - eps + L) / size)
-        j1 = math.floor((ymax + eps + L) / size)
-        if i1 - i0 >= dim or j1 - j0 >= dim:
-            for b in buckets:
-                b.add(cid)
-            continue
-        for i in range(i0, i1 + 1):
-            ii = i % dim
-            for j in range(j0, j1 + 1):
-                buckets[ii * dim + j % dim].add(cid)
-    return CellIndex(L, dim, size, [sorted(b) for b in buckets])
+        return CellIndex(L, dim, size, [sorted(g.cells) for _ in range(dim * dim)])
+    eps = 1e-9
+    cell_ids = np.fromiter(g.cells, dtype=np.intp, count=len(g.cells))
+    cells = list(g.cells.values())
+    seeds = np.array([(c.seed.x, c.seed.y) for c in cells], dtype=float)
+    counts = np.array([len(c.edge_ids) for c in cells], dtype=np.intp)
+    arr = g.street_arrays()
+    eids = np.fromiter(chain.from_iterable(c.edge_ids for c in cells), dtype=np.intp,
+                       count=int(counts.sum()))
+    rows = np.minimum(np.searchsorted(arr.ids, eids), max(len(arr.ids) - 1, 0))
+    if eids.size and (arr.ids[rows] != eids).any():
+        raise KeyError("a cell lists a street the graph does not have")
+    vids = np.fromiter(g.vertices, dtype=np.intp, count=len(g.vertices))
+    by_vid = np.argsort(vids)
+    vxy = np.array([(p.x, p.y) for p in g.vertices.values()], dtype=float).reshape(-1, 2)
+    # both ends of every boundary street, cell after cell
+    ends = np.column_stack((arr.u[rows], arr.v[rows])).ravel()
+    owner = np.repeat(np.arange(len(cells)), 2 * counts)
+    delta = min_image_deltas(vxy[by_vid[np.searchsorted(vids, ends, sorter=by_vid)]]
+                             - seeds[owner], L)
+    corner = seeds[owner] + delta
+    lo = seeds.copy()
+    hi = seeds.copy()
+    filled = np.flatnonzero(counts)
+    first = (np.cumsum(2 * counts) - 2 * counts)[filled]
+    if first.size:
+        lo[filled] = np.minimum(lo[filled], np.minimum.reduceat(corner, first))
+        hi[filled] = np.maximum(hi[filled], np.maximum.reduceat(corner, first))
+    far = (np.abs(delta) >= 0.98 * L).any(axis=1)
+    everywhere = np.bincount(owner[far], minlength=len(cells)) > 0
+    i0, j0 = np.floor((lo - eps + L) / size).astype(np.intp).T
+    i1, j1 = np.floor((hi + eps + L) / size).astype(np.intp).T
+    everywhere |= (i1 - i0 >= dim) | (j1 - j0 >= dim)
+    # (square, cell) for every square of every box, then for the cells
+    # listed everywhere
+    boxed = np.flatnonzero(~everywhere)
+    ni = (i1 - i0 + 1)[boxed]
+    nj = (j1 - j0 + 1)[boxed]
+    which = np.repeat(np.arange(boxed.size), ni * nj)
+    k = np.arange(which.size) - np.repeat(np.cumsum(ni * nj) - ni * nj, ni * nj)
+    squares = ((i0[boxed][which] + k // nj[which]) % dim * dim
+               + (j0[boxed][which] + k % nj[which]) % dim)
+    spread = cell_ids[everywhere]
+    squares = np.concatenate((squares, np.repeat(np.arange(dim * dim), spread.size)))
+    listed = np.concatenate((cell_ids[boxed][which], np.tile(spread, dim * dim)))
+    flat = listed[np.lexsort((listed, squares))].tolist()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(squares, minlength=dim * dim)))).tolist()
+    return CellIndex(L, dim, size, [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])])
 
 
 def _nearest_seed_cells(pts: np.ndarray, g: StreetGraph, idx: CellIndex) -> list[int]:
     """The Voronoi cell of every point of the (n, 2) array ``pts``.
 
     A point's cell is its nearest seed among ``idx.lookup(p)``, ties to the
-    smaller cell id.  All (point, candidate) distances are ranked at once
-    with ``torus_distance``'s min-image expressions; only the points with
-    several candidates within a relative 1e-12 of their minimum (``np.hypot``
-    may differ from ``math.hypot`` in the last bit) are measured again with
-    ``torus_distance``, so the cells are those of a walk over every candidate.
+    smaller cell id.  The squares of all points are found at once, as
+    ``lookup`` finds them, and all (point, candidate) distances are ranked
+    at once with ``torus_distance``'s min-image expressions; only the points
+    with several candidates within a relative 1e-12 of their minimum
+    (``np.hypot`` may differ from ``math.hypot`` in the last bit) are
+    measured again with ``torus_distance``, so the cells are those of a walk
+    over every candidate.
     """
     L = g.L
-    points = pts.tolist()
-    cand = [idx.lookup(p) for p in points]
-    counts = np.array([len(c) for c in cand], dtype=np.intp)
-    if not counts.size:
+    if not len(pts):
         return []
+    if not np.isfinite(pts).all():
+        raise ValueError("cannot look up non-finite points")
+    # lookup's int() truncates toward zero, and clamps to the grid
+    ij = np.clip((pts + L) / idx.size, 0, idx.dim - 1).astype(np.intp)
+    square = ij[:, 0] * idx.dim + ij[:, 1]
+    listed = np.fromiter(map(len, idx.grid), dtype=np.intp, count=len(idx.grid))
+    start = np.cumsum(listed) - listed
+    counts = listed[square]
     if not counts.all():
         raise ValueError("empty cell index")
-    cids = np.fromiter(chain.from_iterable(cand), dtype=np.intp, count=int(counts.sum()))
-    cell_ids = np.array(sorted(g.cells), dtype=np.intp)
-    seeds = np.array([tuple(g.cells[c].seed) for c in cell_ids.tolist()], dtype=float)
-    seeds = seeds.reshape(-1, 2)[np.searchsorted(cell_ids, cids)]
+    first = np.cumsum(counts) - counts
+    grid = np.fromiter(chain.from_iterable(idx.grid), dtype=np.intp, count=int(listed.sum()))
+    cids = grid[np.repeat(start[square] - first, counts) + np.arange(int(counts.sum()))]
+    cell_ids = np.fromiter(g.cells, dtype=np.intp, count=len(g.cells))
+    by_id = np.argsort(cell_ids)
+    seeds = np.array([(c.seed.x, c.seed.y) for c in g.cells.values()], dtype=float)
+    seeds = seeds.reshape(-1, 2)[by_id[np.searchsorted(cell_ids, cids, sorter=by_id)]]
     owner = np.repeat(np.arange(counts.size), counts)
     d = np.abs(pts[owner] - seeds)
     d = np.where(2.0 * L - d < d, 2.0 * L - d, d)
     dist = np.hypot(d[:, 0], d[:, 1])
-    first = np.cumsum(counts) - counts
     nearest = np.minimum.reduceat(dist, first)
     near = dist <= nearest[owner] * (1.0 + 1e-12)
     # the first near candidate of each point, and how many there are
     n_near = np.add.reduceat(near.astype(np.intp), first)
     best = cids[np.flatnonzero(near)[np.cumsum(n_near) - n_near]].tolist()
     for k in np.flatnonzero(n_near > 1).tolist():
-        p = points[k]
-        best[k] = min((torus_distance(p, g.cells[c].seed, L), c) for c in cand[k])[1]
+        p = pts[k].tolist()
+        best[k] = min((torus_distance(p, g.cells[c].seed, L), c)
+                      for c in idx.grid[square[k]])[1]
     return best
 
 
@@ -641,7 +712,9 @@ def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPos
     L = g.L
     side = 2.0 * L
     arr = g.street_arrays()
-    pts = np.array([tuple(p) for p in points], dtype=float).reshape(-1, 2)
+    if not isinstance(points, np.ndarray):
+        points = np.array([tuple(p) for p in points], dtype=float)
+    pts = points.reshape(-1, 2)
     cells = _nearest_seed_cells(pts, g, idx)
     if not cells:
         return []

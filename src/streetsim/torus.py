@@ -10,11 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "TorusPoint",
     "wrap",
     "wrap_coord",
+    "wrap_points",
     "min_image_delta",
+    "min_image_deltas",
     "torus_distance",
     "boundary_crossing_points",
 ]
@@ -59,6 +63,29 @@ def wrap(p, L: float) -> TorusPoint:
     return TorusPoint(wrap_coord(x, L), wrap_coord(y, L))
 
 
+def _wrap_coords(x: np.ndarray, L: float) -> np.ndarray:
+    """Elementwise :func:`wrap_coord`: the same float operations, so bitwise equal.
+
+    numpy's float ``%`` takes the sign of the divisor, as Python's does.
+    """
+    y = (x + L) % (2.0 * L) - L
+    y = np.where(y >= L, y - 2.0 * L, y)
+    return np.where((x >= -L) & (x < L), x, y)
+
+
+def wrap_points(xy: np.ndarray, L: float) -> np.ndarray:
+    """:func:`wrap` of every row of an (n, 2) array, bitwise, as a new array.
+
+    Raises ``ValueError`` for a non-finite coordinate or non-positive L.
+    """
+    xy = np.asarray(xy, dtype=float)
+    if L <= 0.0:
+        raise ValueError(f"torus half-side must be positive, got {L}")
+    if not np.isfinite(xy).all():
+        raise ValueError("cannot wrap non-finite points")
+    return _wrap_coords(xy, L)
+
+
 def _center_delta(d: float, L: float) -> float:
     # for canonical inputs d is in (-2L, 2L) and the single +-2L shift is
     # exact (Sterbenz), matching torus_distance bit for bit
@@ -80,6 +107,19 @@ def min_image_delta(p, q, L: float) -> tuple[float, float]:
     px, py = p
     qx, qy = q
     return _center_delta(qx - px, L), _center_delta(qy - py, L)
+
+
+def min_image_deltas(d: np.ndarray, L: float) -> np.ndarray:
+    """Elementwise :func:`min_image_delta` of the differences ``d = q - p``.
+
+    The single +-2L shift of ``_center_delta`` as one ``where``; only
+    differences of non-canonical points, still outside [-L, L) after it,
+    are wrapped by whole periods.
+    """
+    d = np.where(d < -L, d + 2.0 * L, np.where(d >= L, d - 2.0 * L, d))
+    if ((d < -L) | (d >= L)).any():
+        d = _wrap_coords(d, L)
+    return d
 
 
 def torus_distance(p, q, L: float) -> float:

@@ -96,6 +96,16 @@ class TestConfigInput:
         err = capsys.readouterr().err
         assert "seeds: -1 is negative" in err and "Traceback" not in err
 
+    def test_duplicate_seeds_exit_2(self, tmp_path, capsys):
+        # a repeated seed would simulate it twice and, under --jobs, have two
+        # workers write the same side-output files
+        path = write_config(tmp_path, base_config(seeds=[1, 1]))
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("seeds: must be distinct") == 2 and "Traceback" not in err
+        assert not (tmp_path / "out" / "out.csv").exists()
+
     def test_seed_offset_making_a_seed_negative_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(seeds=[1, 5]))
         assert main(["run", path, "--seed-offset", "-3", "--out", str(tmp_path / "out")]) == 2
@@ -419,6 +429,21 @@ class TestGenStreetsAndThin:
         g = StreetGraph.from_json(out)
         assert len(g.edges) == 3 * len(g.cells)
         assert len(g.vertices) == 2 * len(g.cells)
+
+    @pytest.mark.parametrize("config, digest", [
+        (os.path.join(os.path.dirname(__file__), "..", "figures", "in_out_desk.json"),
+         "4d5a20eebf97117329b2ce95f058d8a9b74383f07e67cbffa5c228530837ef14"),
+        # a 300 m torus with 7 cells: streets wrap both axes
+        (dict(torus_side_m=300.0, kernel={"kappa_prime": {"R_m": 60.0}}, seeds=[5]),
+         "4fc1259c0a95c22cf25d70bdc7b6c8f0972b1c7e04d4fe7270e4229deff4bcca"),
+    ], ids=["desk-seed1", "small-torus"])
+    def test_gen_streets_golden_bytes(self, tmp_path, config, digest):
+        # pins the exported street graph of the first seed, apart from any
+        # simulation
+        path = config if isinstance(config, str) else write_config(tmp_path, base_config(**config))
+        out = tmp_path / "graph.json"
+        assert main(["gen-streets", path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_thin_census(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(seeds=[9]))

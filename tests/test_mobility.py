@@ -16,6 +16,7 @@ from streetsim.mobility import (
     _disc_intervals,
     assign_commute,
     coords,
+    street_coords,
     position_at,
     sample_destination_kappa_doubleprime,
     sample_destination_kappa_prime,
@@ -810,3 +811,23 @@ class TestCoords:
             gap = abs(p1 - p2) * e.length
             assert gap == pytest.approx(torus_distance(coords(a, g), coords(b, g), g.L), abs=1e-6)
 
+
+    def test_batched_coords_match_scalar_expressions(self, rng):
+        # street_coords is the scalar interpolate-then-wrap, bit for bit, in
+        # both orientations and at the ends of wrapping streets
+        g = generate_pvt(150.0, rng, seed_count=8)
+        positions = []
+        for e in g.edges.values():
+            for p in (0.0, 1.0, *rng.uniform(size=4).tolist()):
+                positions += [StreetPosition(e.id, e.u, e.v, p), StreetPosition(e.id, e.v, e.u, p)]
+        rows = street_coords(positions, g)
+        for pos, (x, y) in zip(positions, rows.tolist()):
+            e = g.edges[pos.street]
+            ux, uy = g.vertices[e.u]
+            t = pos.p if pos.v1 == e.u else 1.0 - pos.p
+            ref = wrap((ux + t * e.delta[0], uy + t * e.delta[1]), g.L)
+            assert (x.hex(), y.hex()) == (ref.x.hex(), ref.y.hex())
+            assert coords(pos, g) == ref
+        assert street_coords([], g).shape == (0, 2)
+        with pytest.raises(KeyError):
+            street_coords([StreetPosition(max(g.edges) + 1, 0, 1, 0.5)], g)

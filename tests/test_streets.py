@@ -5,6 +5,7 @@ import pytest
 
 from streetsim.streets import (
     DegenerateTessellation,
+    StreetArrays,
     StreetGraph,
     VoronoiCell,
     _nearest_seed_cells,
@@ -16,6 +17,7 @@ from streetsim.streets import (
 )
 from streetsim.torus import TorusPoint, min_image_delta, torus_distance, wrap
 
+import pvt_oracle
 from conftest import make_graph, total_street_length
 
 
@@ -300,3 +302,85 @@ class TestJsonRoundTrip:
         g.to_json(p1)
         g.to_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def seed_sets():
+    """60 random seed sets: half on a 300 m torus with 3-12 seeds, where
+    cells span the torus and streets wrap both axes, half on a 1.4 km torus
+    with 13-199 seeds; then cocircular lattices, which Qhull turns into
+    merged or near-coincident vertices."""
+    for s in range(60):
+        rng = np.random.default_rng(s)
+        small = s % 2 == 1
+        n = int(rng.integers(3, 13)) if small else int(rng.integers(13, 200))
+        L = 150.0 if small else 700.0
+        yield f"random-{s}", rng.uniform(-L, L, size=(n, 2)), L
+    for k in (2, 3, 4):
+        ticks = np.arange(k) * (200.0 / k) - 100.0
+        yield f"lattice-{k}", np.array([(x, y) for x in ticks for y in ticks]), 100.0
+
+
+def hexes(pair):
+    return [float(t).hex() for t in pair]
+
+
+class TestArraySetupMatchesWalk:
+    """The array ``build_from_seeds`` and ``build_cell_index`` against the
+    per-ridge and per-cell walks of ``tests/pvt_oracle.py``."""
+
+    def test_graphs_rejections_and_grids_match(self):
+        outcomes = {"accepted": 0, "rejected": 0, "spanning": 0, "wrap both axes": 0}
+        for name, seeds, L in seed_sets():
+            try:
+                ref = pvt_oracle.build_from_seeds(seeds, L)
+            except DegenerateTessellation:
+                with pytest.raises(DegenerateTessellation):
+                    build_from_seeds(seeds, L)
+                outcomes["rejected"] += 1
+                continue
+            g = build_from_seeds(seeds, L)
+            outcomes["accepted"] += 1
+            assert list(g.vertices) == list(ref.vertices), name
+            assert [hexes(p) for p in g.vertices.values()] == \
+                [hexes(p) for p in ref.vertices.values()], name
+            assert list(g.edges) == list(ref.edges), name
+            for e, r in zip(g.edges.values(), ref.edges.values()):
+                assert (e.id, e.u, e.v, e.cells) == (r.id, r.u, r.v, r.cells), name
+                assert e.length.hex() == r.length.hex() and hexes(e.delta) == hexes(r.delta)
+                assert (e.wrap_info is None) == (r.wrap_info is None), name
+                if e.wrap_info is not None:
+                    assert [hexes(p) for p in e.wrap_info] == [hexes(p) for p in r.wrap_info]
+            assert [(c.id, hexes(c.seed), c.edge_ids) for c in g.cells.values()] == \
+                [(c.id, hexes(c.seed), c.edge_ids) for c in ref.cells.values()], name
+            ends = [(g.vertices[e.u].x + e.delta[0], g.vertices[e.u].y + e.delta[1])
+                    for e in g.edges.values()]
+            outcomes["wrap both axes"] += (any(not -L <= x < L for x, _ in ends)
+                                           and any(not -L <= y < L for _, y in ends))
+            for cell_size in (None, L / 7.3, L / 1.1, 3.0 * L):
+                idx = build_cell_index(g, cell_size)
+                ref_idx = pvt_oracle.build_cell_index(g, cell_size)
+                assert (idx.L, idx.dim, idx.size) == (ref_idx.L, ref_idx.dim, ref_idx.size)
+                assert idx.grid == ref_idx.grid, (name, cell_size)
+                outcomes["spanning"] += any(len(b) == len(g.cells) for b in idx.grid)
+        assert outcomes["accepted"] >= 50 and outcomes["rejected"] >= 5, outcomes
+        assert outcomes["spanning"] and outcomes["wrap both axes"], outcomes
+
+    def test_street_arrays_of_the_build_match_the_graph(self):
+        for name, seeds, L in list(seed_sets())[:20]:
+            try:
+                g = build_from_seeds(seeds, L)
+            except DegenerateTessellation:
+                continue
+            built, fresh = g.street_arrays(), StreetArrays.build(g)
+            for field in StreetArrays._fields:
+                a, b = getattr(built, field), getattr(fresh, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, field)
+
+    def test_lookup_squares_match_lookup(self, rng):
+        g = generate_pvt(700.0, rng, seed_count=30)
+        idx = build_cell_index(g)
+        edges = np.array([-g.L, -g.L + idx.size, 0.0, g.L - idx.size, np.nextafter(g.L, 0.0)])
+        pts = np.vstack([rng.uniform(-g.L, g.L, size=(300, 2)),
+                         np.array([(x, y) for x in edges for y in edges])])
+        expected = [walk_nearest_cell(p, g, idx) for p in pts.tolist()]
+        assert _nearest_seed_cells(pts, g, idx) == expected

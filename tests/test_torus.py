@@ -8,8 +8,10 @@ from streetsim.torus import (
     TorusPoint,
     boundary_crossing_points,
     min_image_delta,
+    min_image_deltas,
     torus_distance,
     wrap,
+    wrap_points,
 )
 
 
@@ -112,6 +114,32 @@ class TestMinImageDelta:
             dx, dy = min_image_delta((x1, y1), (x2, y2), L)
             assert -L <= dx < L and -L <= dy < L
             assert math.hypot(dx, dy) == torus_distance(TorusPoint(x1, y1), TorusPoint(x2, y2), L)
+
+
+class TestArrayForms:
+    def test_wrap_points_and_min_image_deltas_match_scalars(self, rng):
+        # far values, period multiples and the values just below a period,
+        # where float modulo lands on +L
+        L = 500.0
+        special = [-L, L, -3 * L, 3 * L, np.nextafter(-L, -np.inf), np.nextafter(L, np.inf),
+                   -1e-300, 7 * L + 1e-9, -1e17, 1e17, -0.0]
+        xs = np.concatenate([rng.uniform(-40 * L, 40 * L, 2000), special])
+        pts = np.column_stack((xs, xs[::-1]))
+        got = wrap_points(pts, L)
+        for (x, y), (gx, gy) in zip(pts.tolist(), got.tolist()):
+            ref = wrap((x, y), L)
+            assert (gx.hex(), gy.hex()) == (ref.x.hex(), ref.y.hex())
+        canon = got[:, None, :]
+        d = (got[None, :40, :] - canon[:40]).reshape(-1, 2)
+        far = pts[:40] - pts[40:80]  # differences of non-canonical points
+        for diffs, q, p in ((d, np.tile(got[:40], (40, 1)), np.repeat(got[:40], 40, axis=0)),
+                            (far, pts[:40], pts[40:80])):
+            for (dx, dy), (qx, qy), (px, py) in zip(min_image_deltas(diffs, L).tolist(),
+                                                    q.tolist(), p.tolist()):
+                rx, ry = min_image_delta((px, py), (qx, qy), L)
+                assert (dx.hex(), dy.hex()) == (rx.hex(), ry.hex())
+        with pytest.raises(ValueError):
+            wrap_points(np.array([[0.0, np.nan]]), L)
 
 
 class TestBoundaryCrossing:
