@@ -28,7 +28,6 @@ from .mobility import (
     Path,
     PositiveNormalVelocity,
     TwoPointVelocity,
-    coords,
     position_at,
     sample_destination_kappa_doubleprime,
     sample_destination_kappa_prime,

@@ -131,15 +131,13 @@ def home_anchors(devices_by_id, g: StreetGraph) -> np.ndarray:
 def thinned_street_graph(g: StreetGraph, a: float) -> StreetGraph:
     """Subgraph of streets with length >= a and their endpoints.
 
-    ``a = 0`` reproduces the input graph.  Device sets of the copy are empty;
-    cells keep only their surviving boundary streets.
+    ``a = 0`` reproduces the input graph.  The copy shares the input's
+    streets, which are read-only; cells keep only their surviving boundary
+    streets.
     """
     if a < 0:
         raise ValueError("length threshold must be non-negative")
-    edges = {}
-    for eid, e in g.edges.items():
-        if e.length >= a:
-            edges[eid] = Street(e.id, e.u, e.v, e.length, e.delta, e.cells, e.wrap_info)
+    edges = {eid: e for eid, e in g.edges.items() if e.length >= a}
     if a <= 0:
         vertices = dict(g.vertices)
     else:

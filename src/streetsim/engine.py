@@ -3,9 +3,13 @@
 Instead of stepping the whole system in fixed time slices, every device
 carries exactly one pending movement event (reaching a crossing or its
 destination) in a priority queue, and only the device that caused an event
-is updated when it fires.  Per pair of devices sharing a street the engine
-keeps the analytically solved contact interval; a connection is established
-once a contact has lasted longer than the connection time rho.
+is updated when it fires.  Which devices share a street is
+``state.occupancy``, one set of device ids per street id, built by
+:func:`initialize` from the devices' positions and kept by the handlers;
+the street graph itself is never written.  Per pair of devices sharing a
+street the engine keeps the analytically solved contact interval; a
+connection is established once a contact has lasted longer than the
+connection time rho.
 
 The queue is ``state.heap``, a binary heap of raw ``(time, kind, device)``
 tuples.  :func:`run` handles every event with time <= T; events at one
@@ -274,6 +278,8 @@ class SimulationState:
     T: float
     time: float = 0.0
     heap: list[tuple[float, int, int]] = field(default_factory=list)
+    # street id -> ids of the devices on it, one set per street of the graph
+    occupancy: dict[int, set[int]] = field(default_factory=dict)
     # running contacts: pair -> (c_min, c_max), c_max possibly +inf; empty after run
     active: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
     # the single record of contacts; connections are read from it
@@ -326,8 +332,9 @@ def initialize(
     """Set up run state: street occupancy, initial contacts and the queue,
     which holds one movement event per moving device.
 
-    Street device sets are reset from the devices' positions, so a graph can
-    be reused across runs as long as each run gets its own device clones.
+    Occupancy is built from the devices' positions and lives in the state;
+    the graph is only read, so runs can share it as long as each run gets
+    its own device clones.
     """
     if not 0 < T < math.inf:
         raise ValueError("time horizon must be positive")
@@ -335,19 +342,20 @@ def initialize(
         raise ValueError("contact range must be finite")
     if not 0 <= rho < math.inf:
         raise ValueError("connection time must be finite and non-negative")
-    graph.clear_devices()
     dev_map: dict[int, Device] = {}
+    occupancy: dict[int, set[int]] = {eid: set() for eid in graph.edges}
     for d in devices:
         if d.id in dev_map:
             raise ValueError(f"duplicate device id {d.id}")
-        street = graph.edges[d.pos.street]
-        street.devices.add(d.id)
-        d.street_length = street.length
+        eid = d.pos.street
+        d.street_length = graph.edges[eid].length
+        occupancy[eid].add(d.id)
         dev_map[d.id] = d
-    state = SimulationState(graph=graph, devices=dev_map, r=r, rho=rho, T=T)
+    state = SimulationState(graph=graph, devices=dev_map, r=r, rho=rho, T=T,
+                            occupancy=occupancy)
     for eid in sorted(graph.edges):
         street = graph.edges[eid]
-        ids = sorted(street.devices)
+        ids = sorted(occupancy[eid])
         for i, di_id in enumerate(ids):
             for dj_id in ids[i + 1:]:
                 interval = compute_contact_interval(dev_map[di_id], dev_map[dj_id], street, 0.0, r)
@@ -366,8 +374,8 @@ def initialize(
 # contact bookkeeping of entering a street, advancing residents and solving
 # contact windows, is written out in them rather than called.  A contact
 # that stops is settled by _settle, as at the close-out.
-# Street device sets are walked unsorted; nothing the walk produces depends
-# on its order (history is sorted on write, graphs are frozensets).
+# Occupancy sets are walked unsorted; nothing the walk produces depends on
+# its order (history is sorted on write, graphs are frozensets).
 
 
 def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
@@ -380,12 +388,12 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
         raise RuntimeInvariantError(
             f"device {d.id} has no next street; destination event was missed"
         )
-    edges = state.graph.edges
+    occupancy = state.occupancy
     active = state.active
     did = d.id
 
     # leave: settle contacts with everyone left behind
-    members = edges[streets[leg]].devices
+    members = occupancy[streets[leg]]
     members.discard(did)
     for oid in members:
         pair = (did, oid) if did < oid else (oid, did)
@@ -398,14 +406,14 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
     leg += 1
     d.leg = leg
     eid = streets[leg]
-    street = edges[eid]
+    street = state.graph.edges[eid]
     length = street.length
     u = street.u
     d.pos = StreetPosition(eid, crossing, street.v if crossing == u else u, 0.0)
     d.time_of_pos = t
     d.street_length = length
     v = d.velocity
-    members = street.devices
+    members = occupancy[eid]
     if members:
         # bring each resident to t and solve the contact window in closed
         # form, as advance_to and compute_contact_interval do; both lines are
@@ -460,7 +468,8 @@ def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
 
 def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
     """Reverse the traveled path and update contacts for the changed motion."""
-    street = state.graph.edges[d.path.streets[d.leg]]
+    eid = d.path.streets[d.leg]
+    street = state.graph.edges[eid]
     d.leg = 0
     d.pos = d.turn_around().start
     d.time_of_pos = t
@@ -468,7 +477,7 @@ def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
     devices = state.devices
     active = state.active
     r = state.r
-    for oid in street.devices:
+    for oid in state.occupancy[eid]:
         if oid == did:
             continue
         win = _solve_window(*_relative_line(d, devices[oid], street, t), r)

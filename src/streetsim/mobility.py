@@ -28,7 +28,7 @@ from .streets import (
     StreetPosition,
     project_to_streets,
 )
-from .torus import TorusPoint, wrap_points
+from .torus import wrap_points
 
 __all__ = [
     "Device",
@@ -37,7 +37,6 @@ __all__ = [
     "TwoPointVelocity",
     "PositiveNormalVelocity",
     "RuntimeInvariantError",
-    "coords",
     "street_coords",
     "sample_devices",
     "sample_destination_kappa_prime",
@@ -246,11 +245,6 @@ def street_coords(positions: Sequence[StreetPosition], g: StreetGraph) -> np.nda
                                         arr.uy[rows] + t * arr.dy[rows])), g.L)
 
 
-def coords(pos: StreetPosition, g: StreetGraph) -> TorusPoint:
-    """Torus coordinates of one street position: :func:`street_coords` of one row."""
-    return TorusPoint(*street_coords([pos], g)[0].tolist())
-
-
 def position_at(d: Device, t: float) -> float:
     """Fraction of the current street the device has reached at time t.
 
@@ -286,8 +280,7 @@ def sample_devices(g: StreetGraph, lam: float, rng: np.random.Generator) -> list
 
     Per street the count is Poisson(lam * length) and positions are uniform
     fractions.  Devices are created stationary; waypoints, velocities and
-    paths are assigned afterwards.  Each device is registered in its street's
-    device set.
+    paths are assigned afterwards.  The graph is only read.
     """
     if lam < 0:
         raise ValueError("device intensity must be non-negative")
@@ -304,7 +297,6 @@ def sample_devices(g: StreetGraph, lam: float, rng: np.random.Generator) -> list
                 path=Path(pos, (), pos, (eid,)), home=pos, destination=pos,
                 street_length=e.length,
             )
-            e.devices.add(next_id)
             devices.append(d)
             next_id += 1
     return devices

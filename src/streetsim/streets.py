@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -107,7 +107,6 @@ class Street:
     cells: tuple[int, int]
     # boundary exit/re-entry points for streets crossing the torus boundary
     wrap_info: tuple[tuple[float, float], tuple[float, float]] | None = None
-    devices: set[int] = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -118,7 +117,12 @@ class VoronoiCell:
 
 
 class StreetGraph:
-    """Street system on the torus: crossings, streets and Voronoi cells."""
+    """Street system on the torus: crossings, streets and Voronoi cells.
+
+    Read-only once built, apart from the caches made on first use, so any
+    number of runs may share one graph; a run keeps its street occupancy in
+    its own state.
+    """
 
     __slots__ = ("L", "vertices", "edges", "cells", "_adjacency", "_street_grid",
                  "_street_arrays")
@@ -164,10 +168,6 @@ class StreetGraph:
         if self._street_arrays is None:
             self._street_arrays = StreetArrays.build(self)
         return self._street_arrays
-
-    def clear_devices(self) -> None:
-        for e in self.edges.values():
-            e.devices.clear()
 
     # -- serialization ----------------------------------------------------
 
@@ -565,14 +565,6 @@ class CellIndex:
     size: float
     grid: list[list[int]]
 
-    def lookup(self, p) -> list[int]:
-        px, py = p
-        i = int((px + self.L) / self.size)
-        j = int((py + self.L) / self.size)
-        i = min(max(i, 0), self.dim - 1)
-        j = min(max(j, 0), self.dim - 1)
-        return self.grid[i * self.dim + j]
-
 
 def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellIndex:
     """Build the candidate-cell grid for nearest-seed lookups.
@@ -651,9 +643,11 @@ def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellInde
 def _nearest_seed_cells(pts: np.ndarray, g: StreetGraph, idx: CellIndex) -> list[int]:
     """The Voronoi cell of every point of the (n, 2) array ``pts``.
 
-    A point's cell is its nearest seed among ``idx.lookup(p)``, ties to the
-    smaller cell id.  The squares of all points are found at once, as
-    ``lookup`` finds them, and all (point, candidate) distances are ranked
+    A point's cell is its nearest seed among the candidates of its square,
+    ties to the smaller cell id.  A point (x, y) lies in square (i, j) with
+    i = int((x + L) / size) and j likewise, each clamped to [0, dim - 1],
+    and its candidates are ``grid[i * dim + j]``.  The squares of all points
+    are found at once, and all (point, candidate) distances are ranked
     at once with ``torus_distance``'s min-image expressions; only the points
     with several candidates within a relative 1e-12 of their minimum
     (``np.hypot`` may differ from ``math.hypot`` in the last bit) are
@@ -665,7 +659,7 @@ def _nearest_seed_cells(pts: np.ndarray, g: StreetGraph, idx: CellIndex) -> list
         return []
     if not np.isfinite(pts).all():
         raise ValueError("cannot look up non-finite points")
-    # lookup's int() truncates toward zero, and clamps to the grid
+    # clip, then truncate: the square of int() followed by the clamp
     ij = np.clip((pts + L) / idx.size, 0, idx.dim - 1).astype(np.intp)
     square = ij[:, 0] * idx.dim + ij[:, 1]
     listed = np.fromiter(map(len, idx.grid), dtype=np.intp, count=len(idx.grid))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streetsim.mobility import Device, shortest_path
+from streetsim.mobility import Device, shortest_path, street_coords
 from streetsim.streets import Street, StreetGraph, StreetPosition
 from streetsim.torus import TorusPoint, min_image_delta
 
@@ -26,6 +26,11 @@ def make_graph(L, verts, edge_pairs):
 def total_street_length(g: StreetGraph) -> float:
     """Sum of all street lengths in meters."""
     return sum(e.length for e in g.edges.values())
+
+
+def coords(pos: StreetPosition, g: StreetGraph) -> TorusPoint:
+    """Torus coordinates of one street position: ``street_coords`` of one row."""
+    return TorusPoint(*street_coords([pos], g)[0].tolist())
 
 
 def make_device(did, g, frm, to, velocity):

@@ -224,6 +224,14 @@ class TestMergeRule:
         assert merge_reversal_interval((40.0, 60.0), None, 65.0) is None
 
 
+def assert_occupancy_matches_positions(st):
+    """Every street's occupancy set is exactly the devices positioned on it."""
+    expected = {eid: set() for eid in st.graph.edges}
+    for did, d in st.devices.items():
+        expected[d.pos.street].add(did)
+    assert st.occupancy == expected
+
+
 class TestHandlers:
     def test_crossing_bookkeeping_no_neighbors(self):
         g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (100, 80)}, [(0, 1), (1, 2)])
@@ -232,15 +240,24 @@ class TestHandlers:
         cg = run(state)
         assert cg.edges == frozenset()
         # device ends up registered on exactly one street
-        membership = [e.id for e in g.edges.values() if 0 in e.devices]
+        membership = [eid for eid, ids in state.occupancy.items() if 0 in ids]
         assert len(membership) == 1
 
     def test_co_street_connection_retained_on_exit(self):
         # continuation of the [40, 60] scenario: A exits at t=100 with 20 s
         # of elapsed contact, rho=10 -> connection established and kept
         g, state = two_device_scenario(T=120.0, rho=10.0)
+        events = []
+
+        def check(ev, st):
+            assert_occupancy_matches_positions(st)
+            events.append(ev.kind)
+
+        state.trace = check
         cg = run(state)
         assert cg.edges == frozenset({(0, 1)})
+        assert EventKind.REACH_DESTINATION in events
+        assert_occupancy_matches_positions(state)
 
     def test_co_street_edge_dropped_without_connection(self):
         # rho=25 exceeds the 20 s contact: no edge survives
@@ -384,11 +401,33 @@ class TestRun:
         n = len(devices)
 
         def check(ev, st):
-            total = sum(len(e.devices) for e in g.edges.values())
+            total = sum(len(ids) for ids in st.occupancy.values())
             assert total == n
+            assert_occupancy_matches_positions(st)
 
         state.trace = check
         run(state)
+
+    def test_states_sharing_a_graph_are_independent(self):
+        # both states are built before either runs: the graph holds no
+        # occupancy, so neither run sees the other's devices
+        cfg = parse_config({
+            "torus_side_m": 800.0, "street_intensity_km_per_km2": 20.0,
+            "lambda_per_km": 15.0, "r_m": 20.0, "rho_s": 5.0, "T_s": 60.0,
+            "kernel": {"kappa_prime": {"R_m": 150.0}},
+            "velocity": {"dirac": {"v_mps": 1.5}},
+            "seeds": [3], "outputs": {"csv_path": "x.csv"},
+        })
+        g, devices, _ = build_seed_state(cfg, 3)
+        alone = initialize(g, [d.clone() for d in devices], r=20.0, rho=5.0, T=60.0)
+        expected = run(alone).edges
+        assert expected
+        first, second = [initialize(g, [d.clone() for d in devices], r=20.0, rho=5.0, T=60.0)
+                         for _ in range(2)]
+        for state in (first, second):
+            assert run(state).edges == expected
+            assert sorted(state.history) == sorted(alone.history)
+            assert_occupancy_matches_positions(state)
 
     def test_orientation_fraction_nondecreasing(self):
         g, state = two_device_scenario(T=240.0)
@@ -526,10 +565,9 @@ class TestScalingRelation:
             assert d_graph.edges == direct.edges
 
 
-def eager_coords(path0, velocity, g, t):
+def eager_position(path0, velocity, g, t):
     """Independent trajectory reconstruction: fold distance v*t over the
     commute (ping-pong between start and end) and walk the legs."""
-    from streetsim.mobility import coords
     legs = []
     for k, sid in enumerate(path0.streets):
         e = g.edges[sid]
@@ -553,7 +591,7 @@ def eager_coords(path0, velocity, g, t):
     total = sum(leg[5] for leg in legs)
     if total == 0.0:
         sid, v1, v2, lo, hi, _ = legs[0]
-        return coords(StreetPosition(sid, v1, v2, lo), g)
+        return StreetPosition(sid, v1, v2, lo)
     s = (velocity * t) % (2.0 * total)
     if s > total:
         s = s - total  # distance into the return trip, walked from the end
@@ -562,14 +600,14 @@ def eager_coords(path0, velocity, g, t):
         if s <= d or sid == legs[-1][0]:
             e = g.edges[sid]
             frac = lo + (s / e.length if e.length > 0 else 0.0)
-            return coords(StreetPosition(sid, v1, v2, min(frac, hi)), g)
+            return StreetPosition(sid, v1, v2, min(frac, hi))
         s -= d
     raise AssertionError("walked past the journey end")
 
 
 class TestLazyUpdateSoundness:
     def test_positions_match_eager_reconstruction(self):
-        from streetsim.mobility import coords as _coords
+        from streetsim.mobility import position_at, street_coords
         from streetsim.torus import torus_distance
 
         cfg = parse_config({
@@ -586,18 +624,16 @@ class TestLazyUpdateSoundness:
         checked = [0]
 
         def check(ev, st):
-            for did in sorted(st.devices):
-                d = st.devices[did]
-                if not d.moving:
-                    continue
-                from streetsim.mobility import position_at
-
-                p = position_at(d, ev.time)
-                here = _coords(StreetPosition(d.pos.street, d.pos.v1, d.pos.v2, p), g)
-                path0, v = initial[did]
-                there = eager_coords(path0, v, g, ev.time)
-                assert torus_distance(here, there, g.L) < 1e-6
-                checked[0] += 1
+            # lazily stored positions brought to ev.time, then the eager
+            # reconstructions, all in one street_coords call
+            moving = [st.devices[did] for did in sorted(st.devices) if st.devices[did].moving]
+            here = [StreetPosition(d.pos.street, d.pos.v1, d.pos.v2, position_at(d, ev.time))
+                    for d in moving]
+            there = [eager_position(*initial[d.id], g, ev.time) for d in moving]
+            xy = street_coords(here + there, g).tolist()
+            for a, b in zip(xy[:len(moving)], xy[len(moving):]):
+                assert torus_distance(a, b, g.L) < 1e-6
+            checked[0] += len(moving)
 
         state.trace = check
         run(state)

@@ -6,6 +6,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 from hypothesis import assume, given, settings, strategies as st
 
+from streetsim.engine import initialize
 from streetsim.mobility import (
     Device,
     DiracVelocity,
@@ -15,14 +16,13 @@ from streetsim.mobility import (
     TwoPointVelocity,
     _disc_intervals,
     assign_commute,
-    coords,
-    street_coords,
     position_at,
     sample_destination_kappa_doubleprime,
     sample_destination_kappa_prime,
     sample_devices,
     sample_velocity,
     shortest_path,
+    street_coords,
 )
 from streetsim.streets import (
     STREET_GRID_PAD,
@@ -35,7 +35,7 @@ from streetsim.streets import (
 )
 from streetsim.torus import TorusPoint, torus_distance, wrap
 
-from conftest import make_graph, total_street_length
+from conftest import coords, make_graph, total_street_length
 from test_streets import brute_force_projection
 
 
@@ -64,7 +64,6 @@ class TestSampleDevices:
         g = make_graph(500.0, {0: (0.0, 0.0), 1: (150.0, 0.0)}, [(0, 1)])
         counts = []
         for _ in range(4000):
-            g.clear_devices()
             counts.append(len(sample_devices(g, 0.02, rng)))
         mean = np.mean(counts)
         # Poisson(0.02 * 150) = Poisson(3)
@@ -76,16 +75,17 @@ class TestSampleDevices:
         expected = lam * total_street_length(g)
         totals = []
         for _ in range(200):
-            g.clear_devices()
             totals.append(len(sample_devices(g, lam, rng)))
         assert abs(np.mean(totals) - expected) < 3.0 * math.sqrt(expected / 200)
 
     def test_registration_matches_positions(self, rng):
         g = generate_pvt(600.0, rng, seed_count=12)
         devices = sample_devices(g, 0.05, rng)
+        occupancy = initialize(g, devices, r=10.0, rho=1.0, T=60.0).occupancy
+        assert set(occupancy) == set(g.edges)
         for d in devices:
-            assert d.id in g.edges[d.pos.street].devices
-        counted = sum(len(e.devices) for e in g.edges.values())
+            assert d.id in occupancy[d.pos.street]
+        counted = sum(len(ids) for ids in occupancy.values())
         assert counted == len(devices)
 
 
