@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 
 import numpy as np
@@ -278,7 +279,7 @@ class SweepResult:
         self.rows.sort(key=lambda r: (r.seed, r.scale_a, r.T_s))
 
 
-def velocity_sweep(config, side_outputs=None) -> SweepResult:
+def velocity_sweep(config, side_outputs=None, map=map) -> SweepResult:
     """Run the experiment of an :class:`~streetsim.config.ExperimentConfig`.
 
     Per seed the movement is simulated once, at the configured base velocity
@@ -290,11 +291,13 @@ def velocity_sweep(config, side_outputs=None) -> SweepResult:
 
     ``side_outputs(seed, state)``, when given, returns a context manager
     that each seed's simulation runs inside, for writing that run's trace
-    and history.
+    and history.  ``map`` applies the per-seed run to the seeds: builtin
+    ``map`` runs them in turn, a process pool's ``map`` in parallel, and the
+    sorted rows are the same.
     """
     result = SweepResult()
-    for seed in config.seeds:
-        result.rows.extend(_sweep_one_seed(config, seed, side_outputs))
+    for rows in map(partial(_sweep_one_seed, config, side_outputs=side_outputs), config.seeds):
+        result.rows.extend(rows)
     result.sort()
     return result
 

@@ -31,12 +31,10 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .analysis import (
-    SweepResult,
     aux_largest_component,
     long_edge_percolation_graph,
     velocity_sweep,
     write_sweep_csv,
-    _sweep_one_seed,
 )
 from .config import ConfigError, ExperimentConfig, build_geometry, load_config, validate_config
 from .mobility import RuntimeInvariantError
@@ -148,12 +146,8 @@ def _cmd_run(args) -> int:
     workers = min(args.jobs, len(cfg.seeds), os.cpu_count() or 1)
     try:
         if workers > 1:
-            result = SweepResult()
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for rows in pool.map(partial(_sweep_one_seed, cfg, side_outputs=side_outputs),
-                                     cfg.seeds):
-                    result.rows.extend(rows)
-            result.sort()
+                result = velocity_sweep(cfg, side_outputs=side_outputs, map=pool.map)
         else:
             result = velocity_sweep(cfg, side_outputs=side_outputs)
         csv_path = out_dir / cfg.outputs.csv_path

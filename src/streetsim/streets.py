@@ -12,9 +12,10 @@ the edges are then imported back onto the torus:
   where it pierces the cell boundary (display metadata);
 * neither endpoint inside -> skipped (an image of it is imported instead).
 
-The import, like the candidate-cell grid of :func:`build_cell_index`, runs
-on numpy arrays over all ridges and cells at once; ``tests/pvt_oracle.py``
-keeps the one-ridge-at-a-time and one-cell-at-a-time walks they must match.
+The import runs on numpy arrays over all ridges at once;
+``tests/pvt_oracle.py`` keeps the one-ridge-at-a-time walk it must match.
+The kappa' kernel finds a point's Voronoi cell, its nearest seed on the
+torus, in one periodic k-d tree over the seeds (:func:`build_cell_index`).
 
 Degenerate seed configurations (near-cocircular points, unmatched image
 vertices) have probability zero and are handled by resampling.
@@ -37,7 +38,6 @@ from .torus import (
     TorusPoint,
     boundary_crossing_points,
     min_image_delta,
-    min_image_deltas,
     torus_distance,
     wrap_points,
 )
@@ -199,22 +199,31 @@ class StreetGraph:
         L = float(data["L"])
         if not (math.isfinite(L) and L > 0.0):
             raise ValueError(f"torus half-side L must be finite and positive, got {L}")
-        vertices = {int(v["id"]): TorusPoint(float(v["x"]), float(v["y"])) for v in data["vertices"]}
+
+        def by_id(section: str) -> dict[int, dict]:
+            records: dict[int, dict] = {}
+            for rec in data[section]:
+                rid = int(rec["id"])
+                if rid in records:
+                    raise ValueError(f"{section}: duplicate id {rid}")
+                records[rid] = rec
+            return records
+
+        vertices = {vid: TorusPoint(float(v["x"]), float(v["y"]))
+                    for vid, v in by_id("vertices").items()}
         for vid, (x, y) in vertices.items():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"vertex {vid}: coordinates must be finite, got ({x}, {y})")
         # invert the cell -> edges mapping to recover per-edge cell pairs
         edge_cells: dict[int, list[int]] = {}
         cells = {}
-        for c in data["cells"]:
-            cid = int(c["id"])
+        for cid, c in by_id("cells").items():
             eids = [int(e) for e in c["edge_ids"]]
             cells[cid] = VoronoiCell(cid, TorusPoint(float(c["seed_x"]), float(c["seed_y"])), eids)
             for eid in eids:
                 edge_cells.setdefault(eid, []).append(cid)
         edges = {}
-        for e in data["edges"]:
-            eid = int(e["id"])
+        for eid, e in by_id("edges").items():
             u, v = int(e["u"]), int(e["v"])
             length = float(e["length"])
             if not math.isfinite(length):
@@ -550,143 +559,51 @@ class StreetGrid(NamedTuple):
         return np.unique(self.rows[offsets + np.arange(offsets.size)])
 
 
-@dataclass(slots=True)
-class CellIndex:
-    """Regular grid over the torus listing candidate ids per square.
+class CellIndex(NamedTuple):
+    """Periodic k-d tree over the Voronoi seeds, for nearest-seed lookups.
 
-    Grid squares tile [-L, L)^2 exactly (the requested cell size is rounded
-    so the grid divides 2L).  ``build_cell_index`` lists in every square all
-    Voronoi cells whose closure can intersect it, so a point's true
-    containing cell is always among the candidates of its square.
+    Row k of ``tree`` is a seed shifted by L into the box [0, 2L), on a
+    tree with ``boxsize=2L``; ``ids[k]`` is that seed's cell id.
     """
 
     L: float
-    dim: int
-    size: float
-    grid: list[list[int]]
+    tree: cKDTree
+    ids: np.ndarray
 
 
-def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellIndex:
-    """Build the candidate-cell grid for nearest-seed lookups.
-
-    The default square size is the mean cell diameter 1/sqrt(seed intensity),
-    giving O(1) candidates per square.  A cell is listed in the squares its
-    unwrapped box, padded by 1e-9, covers; the box spans the seed and the
-    boundary street ends pulled to their image nearest the seed.  A cell
-    whose box spans the grid, or with an end 0.98 L or more from the seed on
-    an axis (a cell comparable to the torus itself), is listed everywhere,
-    and so is every cell when there are at most two.  The boxes of all cells
-    are computed at once on arrays.
-    """
-    L = g.L
-    side = 2.0 * L
-    if cell_size is None:
-        gamma = max(len(g.cells), 1) / (side * side)
-        cell_size = 1.0 / math.sqrt(gamma)
-    if cell_size <= 0:
-        raise ValueError("cell size must be positive")
-    dim = max(1, math.ceil(side / cell_size))
-    size = side / dim
-    if len(g.cells) <= 2:
-        # with one or two cells a torus cell is not the convex hull of its
-        # boundary corners; list everything everywhere
-        return CellIndex(L, dim, size, [sorted(g.cells) for _ in range(dim * dim)])
-    eps = 1e-9
-    cell_ids = np.fromiter(g.cells, dtype=np.intp, count=len(g.cells))
-    cells = list(g.cells.values())
-    seeds = np.array([(c.seed.x, c.seed.y) for c in cells], dtype=float)
-    counts = np.array([len(c.edge_ids) for c in cells], dtype=np.intp)
-    arr = g.street_arrays()
-    eids = np.fromiter(chain.from_iterable(c.edge_ids for c in cells), dtype=np.intp,
-                       count=int(counts.sum()))
-    rows = np.minimum(np.searchsorted(arr.ids, eids), max(len(arr.ids) - 1, 0))
-    if eids.size and (arr.ids[rows] != eids).any():
-        raise KeyError("a cell lists a street the graph does not have")
-    vids = np.fromiter(g.vertices, dtype=np.intp, count=len(g.vertices))
-    by_vid = np.argsort(vids)
-    vxy = np.array([(p.x, p.y) for p in g.vertices.values()], dtype=float).reshape(-1, 2)
-    # both ends of every boundary street, cell after cell
-    ends = np.column_stack((arr.u[rows], arr.v[rows])).ravel()
-    owner = np.repeat(np.arange(len(cells)), 2 * counts)
-    delta = min_image_deltas(vxy[by_vid[np.searchsorted(vids, ends, sorter=by_vid)]]
-                             - seeds[owner], L)
-    corner = seeds[owner] + delta
-    lo = seeds.copy()
-    hi = seeds.copy()
-    filled = np.flatnonzero(counts)
-    first = (np.cumsum(2 * counts) - 2 * counts)[filled]
-    if first.size:
-        lo[filled] = np.minimum(lo[filled], np.minimum.reduceat(corner, first))
-        hi[filled] = np.maximum(hi[filled], np.maximum.reduceat(corner, first))
-    far = (np.abs(delta) >= 0.98 * L).any(axis=1)
-    everywhere = np.bincount(owner[far], minlength=len(cells)) > 0
-    i0, j0 = np.floor((lo - eps + L) / size).astype(np.intp).T
-    i1, j1 = np.floor((hi + eps + L) / size).astype(np.intp).T
-    everywhere |= (i1 - i0 >= dim) | (j1 - j0 >= dim)
-    # (square, cell) for every square of every box, then for the cells
-    # listed everywhere
-    boxed = np.flatnonzero(~everywhere)
-    ni = (i1 - i0 + 1)[boxed]
-    nj = (j1 - j0 + 1)[boxed]
-    which = np.repeat(np.arange(boxed.size), ni * nj)
-    k = np.arange(which.size) - np.repeat(np.cumsum(ni * nj) - ni * nj, ni * nj)
-    squares = ((i0[boxed][which] + k // nj[which]) % dim * dim
-               + (j0[boxed][which] + k % nj[which]) % dim)
-    spread = cell_ids[everywhere]
-    squares = np.concatenate((squares, np.repeat(np.arange(dim * dim), spread.size)))
-    listed = np.concatenate((cell_ids[boxed][which], np.tile(spread, dim * dim)))
-    flat = listed[np.lexsort((listed, squares))].tolist()
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(squares, minlength=dim * dim)))).tolist()
-    return CellIndex(L, dim, size, [flat[a:b] for a, b in zip(ptr[:-1], ptr[1:])])
+def build_cell_index(g: StreetGraph) -> CellIndex:
+    """The nearest-seed index of ``g``'s cells, rows in ``g.cells`` order."""
+    side = 2.0 * g.L
+    seeds = np.array([(c.seed.x, c.seed.y) for c in g.cells.values()], dtype=float)
+    ids = np.fromiter(g.cells, dtype=np.intp, count=len(g.cells))
+    return CellIndex(g.L, cKDTree((seeds.reshape(-1, 2) + g.L) % side, boxsize=side), ids)
 
 
 def _nearest_seed_cells(pts: np.ndarray, g: StreetGraph, idx: CellIndex) -> list[int]:
     """The Voronoi cell of every point of the (n, 2) array ``pts``.
 
-    A point's cell is its nearest seed among the candidates of its square,
-    ties to the smaller cell id.  A point (x, y) lies in square (i, j) with
-    i = int((x + L) / size) and j likewise, each clamped to [0, dim - 1],
-    and its candidates are ``grid[i * dim + j]``.  The squares of all points
-    are found at once, and all (point, candidate) distances are ranked
-    at once with ``torus_distance``'s min-image expressions; only the points
-    with several candidates within a relative 1e-12 of their minimum
-    (``np.hypot`` may differ from ``math.hypot`` in the last bit) are
-    measured again with ``torus_distance``, so the cells are those of a walk
-    over every candidate.
+    A point's cell is its nearest seed by ``torus_distance``, ties to the
+    smaller cell id.  The two nearest seeds of all points are found at once
+    in the tree; a point whose second distance lies within ``1e-9 * 2L`` of
+    its first is measured again with ``torus_distance`` against every seed
+    the tree finds within twice that margin of its first distance.
     """
     L = g.L
     if not len(pts):
         return []
     if not np.isfinite(pts).all():
         raise ValueError("cannot look up non-finite points")
-    # clip, then truncate: the square of int() followed by the clamp
-    ij = np.clip((pts + L) / idx.size, 0, idx.dim - 1).astype(np.intp)
-    square = ij[:, 0] * idx.dim + ij[:, 1]
-    listed = np.fromiter(map(len, idx.grid), dtype=np.intp, count=len(idx.grid))
-    start = np.cumsum(listed) - listed
-    counts = listed[square]
-    if not counts.all():
+    if not len(idx.ids):
         raise ValueError("empty cell index")
-    first = np.cumsum(counts) - counts
-    grid = np.fromiter(chain.from_iterable(idx.grid), dtype=np.intp, count=int(listed.sum()))
-    cids = grid[np.repeat(start[square] - first, counts) + np.arange(int(counts.sum()))]
-    cell_ids = np.fromiter(g.cells, dtype=np.intp, count=len(g.cells))
-    by_id = np.argsort(cell_ids)
-    seeds = np.array([(c.seed.x, c.seed.y) for c in g.cells.values()], dtype=float)
-    seeds = seeds.reshape(-1, 2)[by_id[np.searchsorted(cell_ids, cids, sorter=by_id)]]
-    owner = np.repeat(np.arange(counts.size), counts)
-    d = np.abs(pts[owner] - seeds)
-    d = np.where(2.0 * L - d < d, 2.0 * L - d, d)
-    dist = np.hypot(d[:, 0], d[:, 1])
-    nearest = np.minimum.reduceat(dist, first)
-    near = dist <= nearest[owner] * (1.0 + 1e-12)
-    # the first near candidate of each point, and how many there are
-    n_near = np.add.reduceat(near.astype(np.intp), first)
-    best = cids[np.flatnonzero(near)[np.cumsum(n_near) - n_near]].tolist()
-    for k in np.flatnonzero(n_near > 1).tolist():
+    # the tree wraps the query points into its box
+    q = pts + L
+    dist, row = idx.tree.query(q, k=2)
+    best = idx.ids[row[:, 0]].tolist()
+    tol = 1e-9 * 2.0 * L
+    for k in np.flatnonzero(dist[:, 1] - dist[:, 0] <= tol).tolist():
         p = pts[k].tolist()
-        best[k] = min((torus_distance(p, g.cells[c].seed, L), c)
-                      for c in idx.grid[square[k]])[1]
+        near = idx.ids[idx.tree.query_ball_point(q[k], dist[k, 0] + 2.0 * tol)].tolist()
+        best[k] = min((torus_distance(p, g.cells[c].seed, L), c) for c in near)[1]
     return best
 
 
@@ -694,7 +611,7 @@ def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPos
     """Project torus points onto the closest points of the street system.
 
     The closest street is a boundary street of the Voronoi cell containing a
-    point, so for each point the nearest seed is found through ``idx`` (ties
+    point, so for each point the nearest seed is found in ``idx``'s tree (ties
     to the smaller cell id) and only that cell's boundary streets are
     examined, each in all nine torus images of the point.  The distances of
     all points are ranked at once in numpy; every candidate within a

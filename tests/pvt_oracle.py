@@ -1,9 +1,8 @@
-"""Per-ridge and per-cell walks, the references of the array set-up.
+"""Per-ridge walk, the reference of the array street-graph import.
 
 ``build_from_seeds`` imports the 9-copy Voronoi tessellation onto the torus
-one ridge at a time, and ``build_cell_index`` grows each cell's box one
-boundary street end at a time.  ``streetsim.streets`` does both on arrays;
-the tests check that the graphs, the rejections and the grids are the same.
+one ridge at a time.  ``streetsim.streets`` does it on arrays; the tests
+check that the graphs and the rejections are the same.
 """
 
 import math
@@ -16,13 +15,12 @@ from scipy.spatial import Voronoi, cKDTree
 from streetsim.streets import (
     _MATCH_RADIUS,
     _OFFSETS,
-    CellIndex,
     DegenerateTessellation,
     Street,
     StreetGraph,
     VoronoiCell,
 )
-from streetsim.torus import TorusPoint, boundary_crossing_points, min_image_delta, wrap
+from streetsim.torus import TorusPoint, boundary_crossing_points, wrap
 
 
 def build_from_seeds(seeds: np.ndarray, L: float) -> StreetGraph:
@@ -132,57 +130,3 @@ def build_from_seeds(seeds: np.ndarray, L: float) -> StreetGraph:
             raise DegenerateTessellation("cell without boundary streets")
 
     return StreetGraph(L, vertices, edges, cells)
-
-
-def build_cell_index(g: StreetGraph, cell_size: float | None = None) -> CellIndex:
-    """The candidate-cell grid, one cell box at a time."""
-    L = g.L
-    side = 2.0 * L
-    if cell_size is None:
-        gamma = max(len(g.cells), 1) / (side * side)
-        cell_size = 1.0 / math.sqrt(gamma)
-    if cell_size <= 0:
-        raise ValueError("cell size must be positive")
-    dim = max(1, math.ceil(side / cell_size))
-    size = side / dim
-    buckets: list[set[int]] = [set() for _ in range(dim * dim)]
-    eps = 1e-9
-    if len(g.cells) <= 2:
-        all_cells = sorted(g.cells)
-        return CellIndex(L, dim, size, [list(all_cells) for _ in range(dim * dim)])
-    for cid, cell in g.cells.items():
-        sx, sy = cell.seed.x, cell.seed.y
-        xmin = xmax = sx
-        ymin = ymax = sy
-        fallback = False
-        for eid in cell.edge_ids:
-            e = g.edges[eid]
-            for vid in (e.u, e.v):
-                pos = g.vertices[vid]
-                dx, dy = min_image_delta((sx, sy), pos, L)
-                if abs(dx) >= 0.98 * L or abs(dy) >= 0.98 * L:
-                    fallback = True
-                    break
-                xmin = min(xmin, sx + dx)
-                xmax = max(xmax, sx + dx)
-                ymin = min(ymin, sy + dy)
-                ymax = max(ymax, sy + dy)
-            if fallback:
-                break
-        if fallback:
-            for b in buckets:
-                b.add(cid)
-            continue
-        i0 = math.floor((xmin - eps + L) / size)
-        i1 = math.floor((xmax + eps + L) / size)
-        j0 = math.floor((ymin - eps + L) / size)
-        j1 = math.floor((ymax + eps + L) / size)
-        if i1 - i0 >= dim or j1 - j0 >= dim:
-            for b in buckets:
-                b.add(cid)
-            continue
-        for i in range(i0, i1 + 1):
-            ii = i % dim
-            for j in range(j0, j1 + 1):
-                buckets[ii * dim + j % dim].add(cid)
-    return CellIndex(L, dim, size, [sorted(b) for b in buckets])

@@ -557,6 +557,22 @@ class TestGenStreetsAndThin:
             captured = capsys.readouterr()
             assert "config error: cannot read graph" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("section", ["vertices", "edges", "cells"])
+    def test_thin_rejects_duplicate_ids(self, tmp_path, capsys, section):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", path, "--out", str(graph_path)])
+        capsys.readouterr()
+        data = json.loads(graph_path.read_text())
+        # the second record takes the first one's id
+        data[section][1]["id"] = data[section][0]["id"]
+        bad = tmp_path / "dup.json"
+        bad.write_text(json.dumps(data))
+        assert main(["thin", str(bad), "--a", "0", "--b", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: cannot read graph" in captured.err and captured.out == ""
+        assert f"{section}: duplicate id {data[section][0]['id']}" in captured.err
+
     @pytest.mark.parametrize("section, key", [("vertices", "x"), ("vertices", "y"),
                                               ("edges", "length")])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -21,14 +21,6 @@ import pvt_oracle
 from conftest import make_graph, total_street_length
 
 
-def cell_lookup(idx, p):
-    """The candidate cells of point p's square in the cell index, one point at a time."""
-    px, py = p
-    i = min(max(int((px + idx.L) / idx.size), 0), idx.dim - 1)
-    j = min(max(int((py + idx.L) / idx.size), 0), idx.dim - 1)
-    return idx.grid[i * idx.dim + j]
-
-
 class TestCalibration:
     def test_formula_20(self):
         assert calibrate_seed_intensity(20.0) == 100.0
@@ -148,37 +140,6 @@ class TestGeneratePVT:
         assert 60_000 < total_street_length(g) < 100_000
 
 
-class TestCellIndex:
-    def test_single_cell_listed_everywhere(self):
-        g = make_graph(500.0, {0: (-100.0, 0.0), 1: (100.0, 0.0)}, [(0, 1)])
-        g.cells = {0: VoronoiCell(0, TorusPoint(0.0, 0.0), [0])}
-        idx = build_cell_index(g, cell_size=100.0)
-        for bucket in idx.grid:
-            assert bucket == [0]
-
-    def test_true_cell_among_candidates(self, rng):
-        g = generate_pvt(700.0, rng, seed_count=40)
-        idx = build_cell_index(g)
-        pts = rng.uniform(-g.L, g.L, size=(10_000, 2))
-        seeds = sorted(g.cells.items())
-        for x, y in pts:
-            p = TorusPoint(x, y)
-            best = min((torus_distance(p, c.seed, g.L), cid) for cid, c in seeds)[1]
-            assert best in cell_lookup(idx, p)
-
-    def test_grid_line_point_in_both_unions(self, rng):
-        g = generate_pvt(600.0, rng, seed_count=25)
-        idx = build_cell_index(g)
-        # a point exactly on an interior grid line: true cell must be in the
-        # union of both adjacent squares' candidates
-        x_line = -g.L + idx.size
-        p = TorusPoint(x_line, 10.0)
-        best = min((torus_distance(p, c.seed, g.L), cid) for cid, c in g.cells.items())[1]
-        left = cell_lookup(idx, (x_line - idx.size / 2, 10.0))
-        right = cell_lookup(idx, (x_line + idx.size / 2, 10.0))
-        assert best in set(left) | set(right)
-
-
 def brute_force_projection(p, g):
     """Closest point over ALL streets and all 9 images of p."""
     side = 2.0 * g.L
@@ -228,7 +189,7 @@ class TestProjection:
             [(0, 1), (2, 3)],
         )
         g.cells = {0: VoronoiCell(0, TorusPoint(0.0, 0.0), [0, 1])}
-        idx = build_cell_index(g, cell_size=250.0)
+        idx = build_cell_index(g)
         [pos] = project_to_streets([TorusPoint(0.0, 0.0)], g, idx)
         assert pos.street == 0
         # a batch of points on the midline, each equidistant from both streets
@@ -239,26 +200,67 @@ class TestProjection:
             assert pos.p == t_brute
 
 
-def walk_nearest_cell(p, g, idx):
-    """The nearest seed among the candidate cells, ties to the smaller id, one by one."""
-    return min((torus_distance(p, g.cells[cid].seed, g.L), cid) for cid in cell_lookup(idx, p))[1]
+    def test_graph_without_cells_raises(self, single_street_graph):
+        g = single_street_graph
+        assert g.cells == {}
+        with pytest.raises(ValueError, match="empty cell index"):
+            project_to_streets([TorusPoint(10.0, 0.0)], g, build_cell_index(g))
+
+
+def walk_nearest_cell(p, g):
+    """The nearest seed over all cells, ties to the smaller id, one by one."""
+    return min((torus_distance(p, c.seed, g.L), cid) for cid, c in g.cells.items())[1]
+
+
+def street_and_midpoints(g):
+    """Street points and seed midpoints of ``g``: both lie (up to rounding)
+    at equal distance from two seeds."""
+    seeds = np.array([tuple(g.cells[c].seed) for c in sorted(g.cells)])
+    streets = [wrap((g.vertices[e.u].x + t * e.delta[0],
+                     g.vertices[e.u].y + t * e.delta[1]), g.L)
+               for e in g.edges.values() for t in (0.0, 0.5)]
+    mids = [wrap((a + b) / 2.0, g.L) for a, b in zip(seeds, seeds[1:])]
+    return np.array([tuple(p) for p in streets + mids])
 
 
 class TestNearestSeedCells:
     def test_matches_walk_over_candidates(self, rng):
         g = generate_pvt(700.0, rng, seed_count=30)
         idx = build_cell_index(g)
-        seeds = np.array([tuple(g.cells[c].seed) for c in sorted(g.cells)])
-        # random points, street points and seed midpoints: the last two lie
-        # (up to rounding) at equal distance from two seeds
-        streets = [wrap((g.vertices[e.u].x + t * e.delta[0],
-                         g.vertices[e.u].y + t * e.delta[1]), g.L)
-                   for e in g.edges.values() for t in (0.0, 0.5)]
-        mids = [wrap((a + b) / 2.0, g.L) for a, b in zip(seeds, seeds[1:])]
-        pts = np.vstack([rng.uniform(-g.L, g.L, size=(500, 2)),
-                         np.array([tuple(p) for p in streets + mids])])
-        expected = [walk_nearest_cell(p, g, idx) for p in pts.tolist()]
+        pts = np.vstack([rng.uniform(-g.L, g.L, size=(500, 2)), street_and_midpoints(g)])
+        expected = [walk_nearest_cell(p, g) for p in pts.tolist()]
         assert _nearest_seed_cells(pts, g, idx) == expected
+
+    def test_cells_spanning_a_small_torus_match_walk(self, rng):
+        # the 150 m half-side seed sets of ``seed_sets``: 3-12 cells, some
+        # reaching across the whole torus
+        checked = 0
+        for name, seeds, L in seed_sets():
+            if L != 150.0:
+                continue
+            try:
+                g = build_from_seeds(seeds, L)
+            except DegenerateTessellation:
+                continue
+            pts = np.vstack([rng.uniform(-L, L, size=(200, 2)), street_and_midpoints(g)])
+            expected = [walk_nearest_cell(p, g) for p in pts.tolist()]
+            assert _nearest_seed_cells(pts, g, build_cell_index(g)) == expected, name
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("cells", [{4: (30.0, -20.0)},
+                                       {7: (100.0, 0.0), 3: (-100.0, 0.0)},
+                                       {7: (0.0, 499.0), 3: (0.0, -499.0)}])
+    def test_one_and_two_cell_graphs_match_walk(self, rng, cells):
+        # cell ids out of order; on two cells x = 0 and x = -L (or y) are ties
+        g = make_graph(500.0, {0: (0.0, 50.0), 1: (0.0, -50.0)}, [(0, 1)])
+        g.cells = {cid: VoronoiCell(cid, TorusPoint(*xy), [0]) for cid, xy in cells.items()}
+        ticks = np.linspace(-500.0, 500.0, 11)[:-1]
+        pts = np.vstack([rng.uniform(-500.0, 500.0, size=(300, 2)),
+                         np.array([(x, y) for x in ticks for y in ticks])])
+        expected = [walk_nearest_cell(p, g) for p in pts.tolist()]
+        assert _nearest_seed_cells(pts, g, build_cell_index(g)) == expected
+        assert set(expected) == set(cells)
 
     @pytest.mark.parametrize("first_seed, right", [((10.0, 0.0), 0), ((-10.0, 0.0), 1)])
     def test_exact_tie_goes_to_smaller_cell_id(self, monkeypatch, first_seed, right):
@@ -268,7 +270,7 @@ class TestNearestSeedCells:
         g = make_graph(500.0, {0: (0.0, 50.0), 1: (0.0, -50.0)}, [(0, 1)])
         g.cells = {0: VoronoiCell(0, TorusPoint(*first_seed), [0]),
                    1: VoronoiCell(1, TorusPoint(-first_seed[0], 0.0), [0])}
-        idx = build_cell_index(g, cell_size=250.0)
+        idx = build_cell_index(g)
         measured = []
         monkeypatch.setattr(streets, "torus_distance",
                             lambda p, q, L: measured.append(q) or torus_distance(p, q, L))
@@ -333,11 +335,11 @@ def hexes(pair):
 
 
 class TestArraySetupMatchesWalk:
-    """The array ``build_from_seeds`` and ``build_cell_index`` against the
-    per-ridge and per-cell walks of ``tests/pvt_oracle.py``."""
+    """The array ``build_from_seeds`` against the per-ridge walk of
+    ``tests/pvt_oracle.py``, and the tree lookup against a walk over all cells."""
 
     def test_graphs_rejections_and_grids_match(self):
-        outcomes = {"accepted": 0, "rejected": 0, "spanning": 0, "wrap both axes": 0}
+        outcomes = {"accepted": 0, "rejected": 0, "wrap both axes": 0}
         for name, seeds, L in seed_sets():
             try:
                 ref = pvt_oracle.build_from_seeds(seeds, L)
@@ -364,14 +366,8 @@ class TestArraySetupMatchesWalk:
                     for e in g.edges.values()]
             outcomes["wrap both axes"] += (any(not -L <= x < L for x, _ in ends)
                                            and any(not -L <= y < L for _, y in ends))
-            for cell_size in (None, L / 7.3, L / 1.1, 3.0 * L):
-                idx = build_cell_index(g, cell_size)
-                ref_idx = pvt_oracle.build_cell_index(g, cell_size)
-                assert (idx.L, idx.dim, idx.size) == (ref_idx.L, ref_idx.dim, ref_idx.size)
-                assert idx.grid == ref_idx.grid, (name, cell_size)
-                outcomes["spanning"] += any(len(b) == len(g.cells) for b in idx.grid)
         assert outcomes["accepted"] >= 50 and outcomes["rejected"] >= 5, outcomes
-        assert outcomes["spanning"] and outcomes["wrap both axes"], outcomes
+        assert outcomes["wrap both axes"], outcomes
 
     def test_street_arrays_of_the_build_match_the_graph(self):
         for name, seeds, L in list(seed_sets())[:20]:
@@ -387,8 +383,9 @@ class TestArraySetupMatchesWalk:
     def test_lookup_squares_match_lookup(self, rng):
         g = generate_pvt(700.0, rng, seed_count=30)
         idx = build_cell_index(g)
-        edges = np.array([-g.L, -g.L + idx.size, 0.0, g.L - idx.size, np.nextafter(g.L, 0.0)])
+        # the torus edges, where the tree's box wraps, and lines across it
+        edges = np.append(np.linspace(-g.L, g.L, 8, endpoint=False), np.nextafter(g.L, 0.0))
         pts = np.vstack([rng.uniform(-g.L, g.L, size=(300, 2)),
                          np.array([(x, y) for x in edges for y in edges])])
-        expected = [walk_nearest_cell(p, g, idx) for p in pts.tolist()]
+        expected = [walk_nearest_cell(p, g) for p in pts.tolist()]
         assert _nearest_seed_cells(pts, g, idx) == expected
