@@ -21,7 +21,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .streets import (
     KERNEL_BATCH_ELEMENTS,
-    STREET_GRID_PAD,
     CellIndex,
     StreetArrays,
     StreetGraph,
@@ -331,30 +330,100 @@ def sample_destination_kappa_prime(
     return project_to_streets(wrap_points(points, g.L), g, idx)
 
 
-def _disc_intervals(arr: StreetArrays, rows: np.ndarray, cx: np.ndarray, cy: np.ndarray,
-                    radius: float, side: float):
-    """The street intervals inside the disc of every centre, as arrays.
+# disc boxes are padded by this fraction of the torus side: far above the
+# rounding of the box and square arithmetic, so no street a disc touches is
+# missed
+_BOX_PAD = 1e-6
 
-    Tests each centre against each candidate street row in all nine torus
-    images: first the street's box widened by the radius plus the grid pad,
-    then the disc quadratic.  Returns (centre, row, lo, hi) with one entry
-    per interval, sorted by centre, then street, then interval.  The floats
-    are those of a walk over every street and image, one disc at a time
-    (``tests/test_mobility.py`` keeps it as the oracle): the same expressions
-    in the same order, ``max``/``min`` written as ``where`` so that the sign
-    of zero is kept, and a street that several images meet sorted and merged
-    in Python.
+# most (disc, street image) pairs a chunk of the kappa'' kernel tests at once:
+# its dozen or so temporary arrays of this length stay within about 1 MB
+_DISC_PAIRS = KERNEL_BATCH_ELEMENTS // 32
+
+
+def _street_squares(arr: StreetArrays, reach: float, L: float):
+    """The street images listed on a torus grid of squares about half a disc across.
+
+    Image ``m = 3 * i + j`` of a street moves the disc centres by
+    ``(offsets[i], offsets[j])``, offsets ``(-2L, 0, 2L)``.  An image whose
+    box, widened by ``reach`` and the pad once more, meets the fundamental
+    square is listed as ``9 * row + m`` in every square that widened box
+    covers.  At most floor(sqrt(#streets)) squares per side, at least one.
+    Returns (dim, ptr, images): square ``s = i * dim + j`` lists
+    ``images[ptr[s]:ptr[s + 1]]``, ascending.
     """
-    reach = radius + STREET_GRID_PAD * side
+    side = 2.0 * L
+    dim = max(1, min(int(side // (reach / 2.0)), math.isqrt(len(arr.ids))))
+    grow = reach + _BOX_PAD * side
     offsets = np.array([-side, 0.0, side])
-    xs = cx[:, None] + offsets
-    ys = cy[:, None] + offsets
-    x_in = ((arr.xmin[rows] - reach)[None, :, None] <= xs[:, None, :]) \
-        & (xs[:, None, :] <= (arr.xmax[rows] + reach)[None, :, None])
-    y_in = ((arr.ymin[rows] - reach)[None, :, None] <= ys[:, None, :]) \
-        & (ys[:, None, :] <= (arr.ymax[rows] + reach)[None, :, None])
-    c, k, i, j = np.nonzero(x_in[:, :, :, None] & y_in[:, :, None, :])
-    r = rows[k]
+    # per street and image, the centre coordinates its widened box admits
+    x0 = (arr.xmin - grow)[:, None] - offsets
+    x1 = (arr.xmax + grow)[:, None] - offsets
+    y0 = (arr.ymin - grow)[:, None] - offsets
+    y1 = (arr.ymax + grow)[:, None] - offsets
+    meets = ((x0 <= L) & (x1 >= -L))[:, :, None] & ((y0 <= L) & (y1 >= -L))[:, None, :]
+    r, i, j = np.nonzero(meets)
+    i0, i1 = _square_index(x0[r, i], L, dim), _square_index(x1[r, i], L, dim)
+    j0, j1 = _square_index(y0[r, j], L, dim), _square_index(y1[r, j], L, dim)
+    rows = j1 - j0 + 1
+    per = (i1 - i0 + 1) * rows
+    image = np.repeat(np.arange(r.size), per)
+    k = np.arange(image.size) - np.repeat(np.cumsum(per) - per, per)
+    square = (i0[image] + k // rows[image]) * dim + j0[image] + k % rows[image]
+    order = np.argsort(square, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(square, minlength=dim * dim))))
+    return dim, ptr, (9 * r + 3 * i + j)[image[order]]
+
+
+def _square_index(v: np.ndarray, L: float, dim: int) -> np.ndarray:
+    """Index of the grid square, on one axis, of each coordinate of ``v``, clipped."""
+    return np.clip(np.floor((v + L) / (2.0 * L / dim)), 0, dim - 1).astype(np.intp)
+
+
+def _disc_candidates(squares, cx: np.ndarray, cy: np.ndarray, L: float):
+    """Pairs of every centre with each street image listed in its square, in chunks.
+
+    Yields (a, b, c, image) for the centres ``a:b``, at most ``_DISC_PAIRS``
+    pairs unless one centre alone has more: ``c`` counts from 0 at ``a``, and
+    the pairs are sorted by centre, then image.
+    """
+    dim, ptr, images = squares
+    square = _square_index(cx, L, dim) * dim + _square_index(cy, L, dim)
+    start = ptr[square]
+    count = ptr[square + 1] - start
+    end = np.cumsum(count)
+    a = 0
+    while a < cx.size:
+        b = max(a + 1, int(np.searchsorted(end, end[a] - count[a] + _DISC_PAIRS, "right")))
+        n = count[a:b]
+        c = np.repeat(np.arange(b - a), n)
+        yield a, b, c, images[np.repeat(start[a:b] - np.cumsum(n) + n, n) + np.arange(c.size)]
+        a = b
+
+
+def _disc_intervals(arr: StreetArrays, c: np.ndarray, image: np.ndarray, cx: np.ndarray,
+                    cy: np.ndarray, radius: float, side: float):
+    """The street intervals inside the discs of radius ``radius`` around (cx, cy).
+
+    Tests each pair of a centre ``c`` and a street image ``9 * row + 3 * i
+    + j`` from ``_disc_candidates``: first the street's box widened by the
+    radius plus the pad, around the centre moved by ``(offsets[i],
+    offsets[j])``, then the disc quadratic.  Returns (centre, row, lo, hi)
+    with one entry per interval, sorted by centre, then street, then
+    interval.  The floats are those of a walk over every street and image,
+    one disc at a time (``tests/test_mobility.py`` keeps it as the oracle):
+    the same expressions in the same order, ``max``/``min`` written as
+    ``where`` so that the sign of zero is kept, and a street that several
+    images meet sorted and merged in Python.
+    """
+    reach = radius + _BOX_PAD * side
+    offsets = np.array([-side, 0.0, side])
+    r = image // 9
+    xs = cx[c] + offsets[image // 3 % 3]
+    ys = cy[c] + offsets[image % 3]
+    box = ((arr.xmin[r] - reach <= xs) & (xs <= arr.xmax[r] + reach)
+           & (arr.ymin[r] - reach <= ys) & (ys <= arr.ymax[r] + reach))
+    c = c[box]
+    r = r[box]
     ux = arr.ux[r]
     uy = arr.uy[r]
     dx = arr.dx[r]
@@ -362,8 +431,8 @@ def _disc_intervals(arr: StreetArrays, rows: np.ndarray, cx: np.ndarray, cy: np.
     length = arr.length[r]
     len2 = length * length
     # |u + t*delta - c|^2 <= radius^2, quadratic in t
-    fx = ux - xs[c, i]
-    fy = uy - ys[c, j]
+    fx = ux - xs[box]
+    fy = uy - ys[box]
     b = 2.0 * (fx * dx + fy * dy)
     c0 = fx * fx + fy * fy - radius * radius
     disc = b * b - 4.0 * len2 * c0
@@ -380,7 +449,7 @@ def _disc_intervals(arr: StreetArrays, rows: np.ndarray, cx: np.ndarray, cy: np.
     r = r[hit][keep]
     lo = lo[keep]
     hi = hi[keep]
-    key = c * len(rows) + k[hit][keep]
+    key = c * len(arr.ids) + r
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     if starts.size < key.size:
         # several images meet one street: sort and merge their intervals
@@ -405,6 +474,7 @@ def _disc_intervals(arr: StreetArrays, rows: np.ndarray, cx: np.ndarray, cy: np.
     return c, r, lo, hi
 
 
+
 def sample_destination_kappa_doubleprime(
     homes: Sequence[StreetPosition],
     L_k: float,
@@ -418,20 +488,22 @@ def sample_destination_kappa_doubleprime(
     degenerate radius returns the homes themselves; an empty restriction
     retries with the radius doubled (cannot occur once the disc reaches the
     home's own street), and after 64 doublings raises
-    ``RuntimeInvariantError``.
+    ``RuntimeInvariantError``.  A negative or non-finite radius is a
+    ``ValueError``.
 
-    All homes are handled in one batch: they are grouped by position, and
-    each group tests, in numpy, only the streets that ``g.street_grid()``
-    lists for the group's discs, in chunks of at most
-    ``KERNEL_BATCH_ELEMENTS`` (disc, street, image) triples.  A home's
-    intervals, their running total and its pick are bitwise those of a walk
-    over every street in ascending id (see ``_disc_intervals``).  Retries
-    never draw, so the homes' uniforms come from one ``rng.uniform(size=n)``
-    call, and ``total * u`` is bitwise the ``rng.uniform(0, total)`` of a
-    draw per home.
+    All homes are handled in one batch.  For each radius the street images
+    are listed on a grid of torus squares (``_street_squares``), and every
+    home is paired with the images listed in its square
+    (``_disc_candidates``).  The pairs are tested in numpy, in chunks of
+    whole homes, and a chunk draws its homes' destinations before the next
+    one is built.  A home's intervals, their running total and its pick are
+    bitwise those of a walk over every street in ascending id (see
+    ``_disc_intervals``).  Retries never draw, so the homes' uniforms come
+    from one ``rng.uniform(size=n)`` call, and ``total * u`` is bitwise the
+    ``rng.uniform(0, total)`` of a draw per home.
     """
-    if L_k < 0:
-        raise ValueError("disc radius must be non-negative")
+    if not (math.isfinite(L_k) and L_k >= 0):
+        raise ValueError("disc radius must be finite and non-negative")
     if L_k == 0:
         return list(homes)
     n = len(homes)
@@ -439,7 +511,6 @@ def sample_destination_kappa_doubleprime(
         return []
     u = rng.uniform(size=n)
     arr = g.street_arrays()
-    grid = g.street_grid()
     L = g.L
     side = 2.0 * L
     centers = street_coords(homes, g)
@@ -447,26 +518,14 @@ def sample_destination_kappa_doubleprime(
     todo = np.arange(n)
     radius = L_k
     for _ in range(64):
-        reach = radius + STREET_GRID_PAD * side
-        # group the homes on a grid of squares about half a disc across, with
-        # at least 8 homes per square on average
-        dim = max(1, int(side // max(reach / 2.0, side * math.sqrt(8.0 / todo.size))))
-        square = np.minimum((centers[todo] + L) // (side / dim), dim - 1).astype(np.intp)
-        group = square[:, 0] * dim + square[:, 1]
-        order = np.argsort(group, kind="stable")
-        todo = todo[order]
-        group = group[order]
-        bounds = np.flatnonzero(np.r_[True, group[1:] != group[:-1], True]).tolist()
+        squares = _street_squares(arr, radius + _BOX_PAD * side, L)
+        xs = centers[todo, 0]
+        ys = centers[todo, 1]
         empty: list[np.ndarray] = []
-        for a, e in zip(bounds[:-1], bounds[1:]):
-            members = todo[a:e]
-            x = centers[members, 0]
-            y = centers[members, 1]
-            rows = grid.near(x.min() - reach, x.max() + reach, y.min() - reach, y.max() + reach)
-            step = max(1, KERNEL_BATCH_ELEMENTS // (9 * max(1, rows.size)))
-            for s in range(0, members.size, step):
-                chunk = members[s:s + step]
-                empty.append(_pick(g, arr, rows, chunk, centers[chunk], radius, u[chunk], out))
+        for a, b, c, image in _disc_candidates(squares, xs, ys, L):
+            chunk = todo[a:b]
+            hits = _disc_intervals(arr, c, image, xs[a:b], ys[a:b], radius, side)
+            empty.append(_pick(g, arr, chunk, *hits, u[chunk], out))
         todo = np.concatenate(empty)
         if not todo.size:
             return out
@@ -477,13 +536,15 @@ def sample_destination_kappa_doubleprime(
     )
 
 
-def _pick(g: StreetGraph, arr: StreetArrays, rows: np.ndarray, homes: np.ndarray,
-          centers: np.ndarray, radius: float, u: np.ndarray, out: list) -> np.ndarray:
+def _pick(g: StreetGraph, arr: StreetArrays, homes: np.ndarray, c: np.ndarray,
+          r: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray,
+          out: list) -> np.ndarray:
     """Draw the destinations of ``homes`` into ``out``, given their uniforms.
 
-    Returns the homes whose disc holds no street, to retry with a larger one.
+    ``c``, ``r``, ``lo`` and ``hi`` are ``_disc_intervals``' for the homes'
+    discs, ``c`` counting the homes from 0.  Returns the homes whose disc
+    holds no street, to retry with a larger one.
     """
-    c, r, lo, hi = _disc_intervals(arr, rows, centers[:, 0], centers[:, 1], radius, 2.0 * g.L)
     measure = (hi - lo) * arr.length[r]
     # each home's intervals fill one row from the left: cumsum along a row
     # adds them one after another, as the running total of the walk does

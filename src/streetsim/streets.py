@@ -49,7 +49,6 @@ __all__ = [
     "StreetGraph",
     "CellIndex",
     "StreetArrays",
-    "StreetGrid",
     "DegenerateTessellation",
     "calibrate_seed_intensity",
     "generate_pvt",
@@ -60,11 +59,6 @@ __all__ = [
 
 # matching radius when identifying a wrapped Voronoi vertex with its image
 _MATCH_RADIUS = 1e-6
-
-# street boxes in the street grid, and the boxes of the discs queried
-# against it, are padded by this fraction of the torus side: far above the
-# rounding of the grid arithmetic, so no street a disc touches is missed
-STREET_GRID_PAD = 1e-6
 
 # largest temporary array, in elements, that a batched waypoint kernel builds
 # at once; larger batches are split, so memory stays flat in the device count
@@ -124,8 +118,7 @@ class StreetGraph:
     its own state.
     """
 
-    __slots__ = ("L", "vertices", "edges", "cells", "_adjacency", "_street_grid",
-                 "_street_arrays")
+    __slots__ = ("L", "vertices", "edges", "cells", "_adjacency", "_street_arrays")
 
     def __init__(self, L, vertices, edges, cells):
         self.L = L
@@ -133,7 +126,6 @@ class StreetGraph:
         self.edges: dict[int, Street] = edges
         self.cells: dict[int, VoronoiCell] = cells
         self._adjacency = None
-        self._street_grid = None
         self._street_arrays = None
 
     def adjacency(self) -> dict[int, list[tuple[int, float, int]]]:
@@ -148,22 +140,10 @@ class StreetGraph:
             self._adjacency = adj
         return self._adjacency
 
-    def street_grid(self) -> "StreetGrid":
-        """Regular torus grid listing, per square, the streets that may meet it.
-
-        There are floor(sqrt(#streets)) squares per side.  A street is listed
-        in every square (index modulo the grid) that its unwrapped bounding
-        box from ``u`` to ``u + delta``, padded by ``STREET_GRID_PAD * 2L``,
-        covers.  Built on first use and cached.
-        """
-        if self._street_grid is None:
-            self._street_grid = StreetGrid.build(self)
-        return self._street_grid
-
     def street_arrays(self) -> "StreetArrays":
         """Per-street geometry columns for the batched waypoint kernels.
 
-        Built on first use and cached, like ``street_grid()``.
+        Built on first use and cached.
         """
         if self._street_arrays is None:
             self._street_arrays = StreetArrays.build(self)
@@ -219,7 +199,10 @@ class StreetGraph:
         cells = {}
         for cid, c in by_id("cells").items():
             eids = [int(e) for e in c["edge_ids"]]
-            cells[cid] = VoronoiCell(cid, TorusPoint(float(c["seed_x"]), float(c["seed_y"])), eids)
+            seed = TorusPoint(float(c["seed_x"]), float(c["seed_y"]))
+            if not (math.isfinite(seed.x) and math.isfinite(seed.y)):
+                raise ValueError(f"cell {cid}: seed must be finite, got ({seed.x}, {seed.y})")
+            cells[cid] = VoronoiCell(cid, seed, eids)
             for eid in eids:
                 edge_cells.setdefault(eid, []).append(cid)
         edges = {}
@@ -243,6 +226,9 @@ class StreetGraph:
             else:
                 cell_pair = (-1, -1)
             edges[eid] = Street(eid, u, v, length, delta, cell_pair, wrap_pts)
+        unknown = sorted(set(edge_cells) - set(edges))
+        if unknown:
+            raise ValueError(f"cell {edge_cells[unknown[0]][0]}: no street {unknown[0]}")
         return cls(L, vertices, edges, cells)
 
     @classmethod
@@ -497,66 +483,6 @@ class StreetArrays(NamedTuple):
             np.where(dx >= 0.0, ux, vx), np.where(dx >= 0.0, vx, ux),
             np.where(dy >= 0.0, uy, vy), np.where(dy >= 0.0, vy, uy),
         )
-
-
-class StreetGrid(NamedTuple):
-    """``StreetGraph.street_grid()``: squares of side ``size`` tiling the torus.
-
-    The rows (in ``street_arrays()``) of the streets listed in square
-    ``s = i * dim + j`` are ``rows[ptr[s]:ptr[s + 1]]``.
-    """
-
-    L: float
-    dim: int
-    size: float
-    ptr: np.ndarray
-    rows: np.ndarray
-
-    @classmethod
-    def build(cls, g: StreetGraph) -> "StreetGrid":
-        side = 2.0 * g.L
-        dim = max(1, math.isqrt(len(g.edges)))
-        grid = cls(g.L, dim, side / dim, np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp))
-        arr = g.street_arrays()
-        pad = STREET_GRID_PAD * side
-        squares: list[int] = []
-        rows: list[int] = []
-        for k, (x0, x1, y0, y1) in enumerate(zip(arr.xmin.tolist(), arr.xmax.tolist(),
-                                                 arr.ymin.tolist(), arr.ymax.tolist())):
-            ys = grid.span(y0 - pad, y1 + pad)
-            for i in grid.span(x0 - pad, x1 + pad):
-                squares += [i * dim + j for j in ys]
-                rows += [k] * len(ys)
-        squares = np.array(squares, dtype=np.intp)
-        order = np.argsort(squares, kind="stable")
-        counts = np.bincount(squares, minlength=dim * dim)
-        ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        return grid._replace(ptr=ptr, rows=np.array(rows, dtype=np.intp)[order])
-
-    def span(self, lo: float, hi: float) -> range | list[int]:
-        """Indices, modulo the grid, of the squares [lo, hi] covers on one axis.
-
-        ``lo`` and ``hi`` are unwrapped coordinates; a span of the whole
-        torus or more is ``range(dim)``.
-        """
-        i0 = math.floor((lo + self.L) / self.size)
-        i1 = math.floor((hi + self.L) / self.size)
-        if i1 - i0 >= self.dim - 1:
-            return range(self.dim)
-        return [i % self.dim for i in range(i0, i1 + 1)]
-
-    def near(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> np.ndarray:
-        """Ascending rows of the streets listed for an unwrapped box."""
-        cols = self.span(x_lo, x_hi)
-        rows = self.span(y_lo, y_hi)
-        if len(cols) == self.dim and len(rows) == self.dim:
-            return np.unique(self.rows)
-        squares = (np.asarray(cols)[:, None] * self.dim + np.asarray(rows)[None, :]).ravel()
-        starts = self.ptr[squares]
-        counts = self.ptr[squares + 1] - starts
-        # positions into self.rows of every listed entry, square after square
-        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        return np.unique(self.rows[offsets + np.arange(offsets.size)])
 
 
 class CellIndex(NamedTuple):

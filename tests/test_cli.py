@@ -573,6 +573,25 @@ class TestGenStreetsAndThin:
         assert "config error: cannot read graph" in captured.err and captured.out == ""
         assert f"{section}: duplicate id {data[section][0]['id']}" in captured.err
 
+    @pytest.mark.parametrize("fault, message", [
+        ({"seed_x": float("nan")}, "seed must be finite"),
+        ({"seed_y": float("inf")}, "seed must be finite"),
+        ({"edge_ids": [0, 10**6]}, "no street 1000000"),
+    ], ids=["nan-seed", "inf-seed", "missing-street"])
+    def test_thin_rejects_bad_cells(self, tmp_path, capsys, fault, message):
+        path = write_config(tmp_path, base_config(seeds=[9]))
+        graph_path = tmp_path / "graph.json"
+        main(["gen-streets", path, "--out", str(graph_path)])
+        capsys.readouterr()
+        data = json.loads(graph_path.read_text())
+        data["cells"][1].update(fault)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["thin", str(bad), "--a", "1", "--b", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "config error: cannot read graph" in captured.err and captured.out == ""
+        assert f"cell {data['cells'][1]['id']}: {message}" in captured.err
+
     @pytest.mark.parametrize("section, key", [("vertices", "x"), ("vertices", "y"),
                                               ("edges", "length")])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

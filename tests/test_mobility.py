@@ -1,4 +1,6 @@
 import math
+import pathlib
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 from hypothesis import assume, given, settings, strategies as st
 
+from streetsim.config import build_geometry, load_config, rng_streams
 from streetsim.engine import initialize
 from streetsim.mobility import (
     Device,
@@ -14,7 +17,10 @@ from streetsim.mobility import (
     PositiveNormalVelocity,
     RuntimeInvariantError,
     TwoPointVelocity,
+    _BOX_PAD,
+    _disc_candidates,
     _disc_intervals,
+    _street_squares,
     assign_commute,
     position_at,
     sample_destination_kappa_doubleprime,
@@ -25,7 +31,6 @@ from streetsim.mobility import (
     street_coords,
 )
 from streetsim.streets import (
-    STREET_GRID_PAD,
     DegenerateTessellation,
     Street,
     StreetGraph,
@@ -162,6 +167,32 @@ class TestKappaDoublePrime:
         for dest in sample_destination_kappa_doubleprime([home] * 300, 120.0, g, rng):
             assert torus_distance(hc, coords(dest, g), g.L) <= 120.0 + 1e-6
 
+    @pytest.mark.parametrize("L_k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_raises(self, rng, L_k):
+        g = make_graph(500.0, {0: (0.0, 0.0), 1: (50.0, 0.0)}, [(0, 1)])
+        with pytest.raises(ValueError, match="disc radius must be finite and non-negative"):
+            sample_destination_kappa_doubleprime([StreetPosition(0, 0, 1, 0.3)], L_k, g, rng)
+
+    def test_traced_peak_on_benchmark_geometry(self):
+        # the kpp_1500 benchmark's program seed 1: about 970 homes on 702
+        # streets; the kernel tests its pairs in chunks, so its temporaries
+        # stay small whatever the number of homes
+        root = pathlib.Path(__file__).resolve().parent.parent
+        cfg = load_config(root / "perfbench" / "workloads" / "kpp_1500.json")
+        g = build_geometry(cfg, 1)
+        streams = rng_streams(1)
+        homes = [d.home for d in sample_devices(g, cfg.lambda_per_km / 1000.0,
+                                                streams["placement"])]
+        tracemalloc.start()
+        try:
+            sample_destination_kappa_doubleprime(homes, cfg.kernel.radius_m, g,
+                                                 streams["waypoints"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(homes) > 900
+        assert peak <= 4 * 2**20
+
 
 def brute_force_disc_street_intervals(g, center, radius):
     """Oracle: solve the disc quadratic for every street in all nine images."""
@@ -234,23 +265,29 @@ def brute_force_kappa_doubleprime(homes, L_k, g, rng):
 
 
 def batched_disc_intervals(g, centers, radius):
-    """The batched kernel's intervals for discs around ``centers``, tested
-    together against the streets the grid lists for their joint padded box,
-    as (intervals, total) per centre in the oracle's form."""
+    """The batched kernel's intervals for discs around ``centers``: the street
+    images joined to the centres' squares and tested chunk by chunk, as
+    (intervals, total) per centre in the oracle's form."""
     arr = g.street_arrays()
-    reach = radius + STREET_GRID_PAD * 2.0 * g.L
+    side = 2.0 * g.L
     xs = np.array([c.x for c in centers])
     ys = np.array([c.y for c in centers])
-    rows = g.street_grid().near(xs.min() - reach, xs.max() + reach, ys.min() - reach, ys.max() + reach)
-    owner, r, lo, hi = _disc_intervals(arr, rows, xs, ys, radius, 2.0 * g.L)
+    squares = _street_squares(arr, radius + _BOX_PAD * side, g.L)
     out = [([], 0.0) for _ in centers]
-    for k, row, a, b in zip(owner.tolist(), r.tolist(), lo.tolist(), hi.tolist()):
-        eid = int(arr.ids[row])
-        measure = (b - a) * g.edges[eid].length
-        intervals, total = out[k]
-        intervals.append((eid, a, b, measure))
-        out[k] = (intervals, total + measure)
+    for a, b, c, image in _disc_candidates(squares, xs, ys, g.L):
+        owner, r, lo, hi = _disc_intervals(arr, c, image, xs[a:b], ys[a:b], radius, side)
+        for k, row, lo_k, hi_k in zip(owner.tolist(), r.tolist(), lo.tolist(), hi.tolist()):
+            eid = int(arr.ids[row])
+            measure = (hi_k - lo_k) * g.edges[eid].length
+            intervals, total = out[a + k]
+            intervals.append((eid, lo_k, hi_k, measure))
+            out[a + k] = (intervals, total + measure)
     return out
+
+
+def squares_per_side(g, radius):
+    """Squares per side of the grid on which the kernel joins discs of ``radius``."""
+    return _street_squares(g.street_arrays(), radius + _BOX_PAD * 2.0 * g.L, g.L)[0]
 
 
 def leaving_graph():
@@ -268,11 +305,12 @@ class TestDiscStreetIntervals:
     def test_matches_brute_force_on_pvt(self, seed):
         rng = np.random.default_rng(seed)
         g = generate_pvt(300.0, rng, street_intensity=20.0)
-        assert g.street_grid().dim > 2
         centers = [TorusPoint(*rng.uniform(-g.L, g.L, 2)) for _ in range(25)]
         centers += [TorusPoint(-g.L, -g.L), TorusPoint(-g.L, 0.0)]
         centers += [coords(StreetPosition(e.id, e.u, e.v, 0.5), g) for e in g.edges.values()][:20]
         for radius in self.RADII:
+            # discs up to L across are joined on more than 2 squares per side
+            assert squares_per_side(g, radius) > 2 or radius > g.L, radius
             expected = [brute_force_disc_street_intervals(g, c, radius) for c in centers]
             # each disc on its own box, as a lone home is, and all discs at once
             assert [batched_disc_intervals(g, [c], radius)[0] for c in centers] == expected, radius
@@ -299,6 +337,21 @@ class TestDiscStreetIntervals:
             expected = [brute_force_disc_street_intervals(g, c, radius) for c in centers]
             assert [batched_disc_intervals(g, [c], radius)[0] for c in centers] == expected
             assert batched_disc_intervals(g, centers, radius) == expected
+
+    def test_centres_on_square_lines(self):
+        # centres on, and one ulp either side of, the lines between the squares
+        # the discs are joined on
+        g = generate_pvt(300.0, np.random.default_rng(7), street_intensity=20.0)
+        for radius in (1.0, 40.0, 150.0):
+            dim = squares_per_side(g, radius)
+            assert dim > 2
+            lines = [-g.L + k * (2.0 * g.L / dim) for k in range(dim)]
+            ticks = sorted({t for x in lines for t in (np.nextafter(x, -np.inf), x,
+                                                       np.nextafter(x, np.inf))
+                            if -g.L <= t < g.L})
+            centers = [TorusPoint(x, y) for x in ticks for y in ticks[::5]]
+            expected = [brute_force_disc_street_intervals(g, c, radius) for c in centers]
+            assert batched_disc_intervals(g, centers, radius) == expected, radius
 
     def test_draw_sequence_unchanged(self):
         # the batched sampler's draws, and the stream after them, are those
@@ -361,6 +414,25 @@ class TestBatchedKappaDoublePrimeOracle:
         rng, ref = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
         assert (sample_destination_kappa_doubleprime(homes, L_k, g, rng)
                 == brute_force_kappa_doubleprime(homes, L_k, g, ref))
+
+    def test_benchmark_scale_torus(self):
+        # a 1.5 km torus with L_k = 300 m, as in the kpp_1500 benchmark: 20
+        # homes anywhere and 20 within 300 m of the torus edge, 8 of them in
+        # a corner, where discs reach into other images of the torus
+        g = generate_pvt(750.0, np.random.default_rng(21), street_intensity=20.0)
+        pick = np.random.default_rng(22)
+        eids = sorted(g.edges)
+        pool = [StreetPosition(eid, g.edges[eid].u, g.edges[eid].v, float(pick.uniform()))
+                for eid in pick.choice(eids, size=400)]
+        near = np.abs(street_coords(pool, g)) > g.L - 300.0
+        corner = [h for h, m in zip(pool, near) if m.all()][:8]
+        edge = [h for h, m in zip(pool, near) if m.any() and not m.all()][:12]
+        assert len(corner) == 8 and len(edge) == 12
+        homes = pool[:20] + corner + edge
+        rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+        assert (sample_destination_kappa_doubleprime(homes, 300.0, g, rng)
+                == brute_force_kappa_doubleprime(homes, 300.0, g, ref))
+        assert rng.uniform() == ref.uniform()
 
     def test_gives_up_after_64_doublings(self):
         g = leaving_graph()
