@@ -76,7 +76,10 @@ def connection_graph_wraps(cg: ConnectionGraph, anchors, g: StreetGraph) -> bool
     # anchor rows without a vertex are components of their own
     label = np.arange(len(anchors)) + len(cg.vertices)
     label[np.asarray(cg.vertices, dtype=np.intp)] = cg.labels
-    return _winds(i, j, min_image_deltas(anchors[j] - anchors[i], g.L), label, g.L)
+    disp = anchors[j]
+    disp -= anchors[i]
+    disp = min_image_deltas(disp, g.L)
+    return _winds(i, j, disp, label, g.L)
 
 
 def _winds(lo: np.ndarray, hi: np.ndarray, disp: np.ndarray, label: np.ndarray,
@@ -111,7 +114,10 @@ def _winds(lo: np.ndarray, hi: np.ndarray, disp: np.ndarray, label: np.ndarray,
     while (up != n).any():
         pot += pot[up]
         up = up[up]
-    return bool((np.abs(pot[lo] + disp - pot[hi]) > L).any())
+    gap = pot[lo]
+    gap += disp
+    gap -= pot[hi]
+    return bool((np.abs(gap, out=gap) > L).any())
 
 
 def home_anchors(devices_by_id, g: StreetGraph) -> np.ndarray:

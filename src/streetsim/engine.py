@@ -131,8 +131,11 @@ class ConnectionGraph:
         """Connected-component label of each vertex, in ``vertices`` order."""
         if self._labels is None:
             ids = np.asarray(self.vertices, dtype=np.intp)
-            order = np.argsort(ids)
-            ij = order[np.searchsorted(ids, self.pairs, sorter=order)]
+            ij = self.pairs
+            # a sweep's vertices are already the row numbers 0..n-1
+            if not np.array_equal(ids, np.arange(len(ids))):
+                order = np.argsort(ids)
+                ij = order[np.searchsorted(ids, ij, sorter=order)]
             self._labels = component_labels(len(ids), ij[:, 0], ij[:, 1])
         return self._labels
 
@@ -544,18 +547,40 @@ def run(state: SimulationState) -> ConnectionGraph:
 def _history_pairs(state: SimulationState) -> tuple[np.ndarray, np.ndarray]:
     """Each interval's row in the distinct pairs, and the (m, 2) distinct pairs.
 
-    History only grows, so the cached index stands while the history it
-    came from has the same length.  It lives as long as the state.
+    The pairs are numbered in ascending (i, j) order, as ``np.unique`` of
+    the keys i * base + j would number them.  The keys are made in place
+    from the history's view and sorted once, so no step copies the id
+    columns.  History only grows, so the cached index stands while the
+    history it came from has the same length.  It lives as long as the state.
     """
     history = state.history
     n = len(history)
     cached = state._history_pairs
     if cached is None or cached[0] is not history or cached[1] != n:
-        ij = history.columns()[:, :2].astype(np.int64)
-        # device ids are small non-negative ints, so i * base + j is exact
-        base = int(ij[:, 1].max()) + 1
-        keys, pair_of = np.unique(ij[:, 0] * base + ij[:, 1], return_inverse=True)
-        cached = (history, n, pair_of, np.column_stack(np.divmod(keys, base)))
+        cols = history.columns()
+        # device ids are non-negative ints, so the int64 key i * base + j is
+        # exact for ids below 2**31; each temporary is freed once read, so at
+        # most the keys, their order and the run starts are alive at once
+        base = int(cols[:, 1].max()) + 1
+        keys = np.empty(n, dtype=np.int64)
+        np.multiply(cols[:, 0], base, out=keys, dtype=np.int64, casting="unsafe")
+        np.add(keys, cols[:, 1], out=keys, dtype=np.int64, casting="unsafe")
+        order = np.argsort(keys)
+        keys.sort()
+        first = np.empty(n, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        distinct = keys[first]
+        del keys
+        number = np.cumsum(first, dtype=np.int32)
+        del first
+        number -= 1
+        pair_of = np.empty(n, dtype=np.int32)
+        pair_of[order] = number
+        del order, number
+        pairs = np.empty((len(distinct), 2), dtype=np.int64)
+        np.divmod(distinct, base, out=(pairs[:, 0], pairs[:, 1]))
+        cached = (history, n, pair_of, pairs)
         state._history_pairs = cached
     return cached[2:]
 
@@ -578,6 +603,10 @@ def derived_connection_graph(
         return ConnectionGraph(vertices, frozenset())
     pair_of, pairs = _history_pairs(state)
     cols = state.history.columns()
+    held = np.minimum(cols[:, 3], T2)
+    np.subtract(held, cols[:, 2], out=held)
+    kept = np.greater(held, rho2)
+    del held
     connected = np.zeros(len(pairs), dtype=bool)
-    connected[pair_of[np.minimum(cols[:, 3], T2) - cols[:, 2] > rho2]] = True
+    connected[pair_of[kept]] = True
     return ConnectionGraph(vertices, pairs=pairs[connected])

@@ -278,8 +278,10 @@ def sample_devices(g: StreetGraph, lam: float, rng: np.random.Generator) -> list
     """Scatter devices on the streets with linear intensity lam (per meter).
 
     Per street the count is Poisson(lam * length) and positions are uniform
-    fractions.  Devices are created stationary; waypoints, velocities and
-    paths are assigned afterwards.  The graph is only read.
+    fractions, drawn right after the count with one ``rng.uniform(size=count)``:
+    the same doubles in the same order as one scalar draw per device.
+    Devices are created stationary; waypoints, velocities and paths are
+    assigned afterwards.  The graph is only read.
     """
     if lam < 0:
         raise ValueError("device intensity must be non-negative")
@@ -288,8 +290,7 @@ def sample_devices(g: StreetGraph, lam: float, rng: np.random.Generator) -> list
     for eid in sorted(g.edges):
         e = g.edges[eid]
         count = int(rng.poisson(lam * e.length)) if lam > 0 else 0
-        for _ in range(count):
-            p = float(rng.uniform())
+        for p in rng.uniform(size=count).tolist():
             pos = StreetPosition(eid, e.u, e.v, p)
             d = Device(
                 id=next_id, pos=pos, time_of_pos=0.0, velocity=1.0,

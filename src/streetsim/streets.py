@@ -64,6 +64,10 @@ _MATCH_RADIUS = 1e-6
 # at once; larger batches are split, so memory stays flat in the device count
 KERNEL_BATCH_ELEMENTS = 1 << 18
 
+# most (point, street) rows a chunk of the projection ranks at once: its
+# temporaries of nine images a row then hold at most 2**13 elements
+_PROJECT_ROWS = (KERNEL_BATCH_ELEMENTS // 32) // 9
+
 
 class DegenerateTessellation(Exception):
     """Raised when a sampled seed set produces a tessellation we reject."""
@@ -540,11 +544,13 @@ def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPos
     point, so for each point the nearest seed is found in ``idx``'s tree (ties
     to the smaller cell id) and only that cell's boundary streets are
     examined, each in all nine torus images of the point.  The distances of
-    all points are ranked at once in numpy; every candidate within a
-    relative 1e-12 of its point's minimum is measured again with
-    ``math.hypot``, and the smallest (distance, street id) wins, the first
-    image on a tie.  So the fraction returned is bitwise that of a walk over
-    the cell's streets and images in order.
+    all points are ranked at once in numpy.  A point with one candidate
+    within a relative 1e-12 of its minimum takes it; the candidates of any
+    other point are measured again with ``math.hypot``, and the smallest
+    (distance, street id) wins, the first image on a tie.  So the fraction
+    returned is bitwise that of a walk over the cell's streets and images in
+    order.  Points are ranked in chunks of at most ``_PROJECT_ROWS`` (point,
+    street) rows, unless one point alone has more.
     """
     L = g.L
     side = 2.0 * L
@@ -569,9 +575,9 @@ def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPos
     owner = np.repeat(np.arange(len(counts)), counts)
     offsets = np.array([-side, 0.0, side])
     out: list[StreetPosition] = []
-    step = max(1, KERNEL_BATCH_ELEMENTS // (9 * max(counts)))
-    for k0 in range(0, len(counts), step):
-        k1 = min(k0 + step, len(counts))
+    k0 = 0
+    while k0 < len(counts):
+        k1 = max(k0 + 1, int(np.searchsorted(first, first[k0] + _PROJECT_ROWS, "right")) - 1)
         a, b = first[k0], first[k1]
         o = owner[a:b]
         r = rows[a:b]
@@ -589,15 +595,21 @@ def project_to_streets(points, g: StreetGraph, idx: CellIndex) -> list[StreetPos
         # np.hypot may differ from math.hypot in the last bit: it only ranks
         dist = np.hypot(ex, ey)
         nearest = np.minimum.reduceat(dist.min(axis=1), first[k0:k1] - a)
-        near = dist <= (nearest * (1.0 + 1e-12))[o - k0][:, None]
+        j, m = np.nonzero(dist <= (nearest * (1.0 + 1e-12))[o - k0][:, None])
+        k = o[j] - k0
+        many = np.bincount(k, minlength=k1 - k0)[k] > 1
+        win = np.empty(k1 - k0, dtype=np.intp)
+        win[k[~many]] = np.flatnonzero(~many)
         best: dict[int, tuple] = {}
-        for j, m in zip(*(ix.tolist() for ix in np.nonzero(near))):
-            key = (math.hypot(ex[j, m], ey[j, m]), int(arr.ids[r[j]]))
-            k = int(o[j])
-            if k not in best or key < best[k][0]:
-                best[k] = (key, float(t[j, m]))
-        for k in range(k0, k1):
-            (_, eid), frac = best[k]
-            e = g.edges[eid]
-            out.append(StreetPosition(eid, e.u, e.v, frac))
+        for c in np.flatnonzero(many).tolist():
+            jc, mc, kc = int(j[c]), int(m[c]), int(k[c])
+            key = (math.hypot(ex[jc, mc], ey[jc, mc]), int(arr.ids[r[jc]]))
+            if kc not in best or key < best[kc][0]:
+                best[kc] = (key, c)
+        for kc, (_, c) in best.items():
+            win[kc] = c
+        street = r[j[win]]
+        out += map(StreetPosition, arr.ids[street].tolist(), arr.u[street].tolist(),
+                   arr.v[street].tolist(), t[j[win], m[win]].tolist())
+        k0 = k1
     return out

@@ -112,11 +112,14 @@ def min_image_delta(p, q, L: float) -> tuple[float, float]:
 def min_image_deltas(d: np.ndarray, L: float) -> np.ndarray:
     """Elementwise :func:`min_image_delta` of the differences ``d = q - p``.
 
-    The single +-2L shift of ``_center_delta`` as one ``where``; only
-    differences of non-canonical points, still outside [-L, L) after it,
-    are wrapped by whole periods.
+    The single +-2L shift of ``_center_delta``, made in place on one copy of
+    ``d``; only differences of non-canonical points, still outside [-L, L)
+    after it, are wrapped by whole periods.
     """
-    d = np.where(d < -L, d + 2.0 * L, np.where(d >= L, d - 2.0 * L, d))
+    d = np.array(d, dtype=float)
+    low, high = d < -L, d >= L
+    np.add(d, 2.0 * L, out=d, where=low)
+    np.subtract(d, 2.0 * L, out=d, where=high)
     if ((d < -L) | (d >= L)).any():
         d = _wrap_coords(d, L)
     return d

@@ -2,9 +2,11 @@
 array-backed derived graphs read from it, and the sorted history file."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from streetsim.analysis import connection_graph_wraps, home_anchors, largest_cluster_fraction
@@ -14,6 +16,7 @@ from streetsim.engine import (
     ConnectionGraph,
     ContactHistory,
     SimulationState,
+    _history_pairs,
     derived_connection_graph,
     initialize,
     run,
@@ -122,6 +125,80 @@ class TestDerivedReadout:
         for vertices in ((0, 3, 7, 9, 40, 41), (41, 9, 40, 0, 7, 3)):
             cg = ConnectionGraph(vertices, edges)
             assert largest_cluster_fraction(cg) == 3 / 6
+
+
+def history_state(history):
+    g = make_graph(100.0, {0: (0.0, 0.0), 1: (10.0, 0.0)}, [(0, 1)])
+    return SimulationState(graph=g, devices={}, r=20.0, rho=1.0, T=40.0, history=history)
+
+
+class TestHistoryPairs:
+    """The pair index against ``np.unique`` of the keys i * base + j."""
+
+    @staticmethod
+    def unique_index(pairs):
+        ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        base = int(ij[:, 1].max()) + 1
+        keys, inverse = np.unique(ij[:, 0] * base + ij[:, 1], return_inverse=True)
+        return inverse.tolist(), np.column_stack(np.divmod(keys, base)).tolist()
+
+    def assert_matches_unique(self, pairs):
+        state = history_state(ContactHistory((i, j, 0.0, 1.0) for i, j in pairs))
+        pair_of, distinct = _history_pairs(state)
+        want_of, want_distinct = self.unique_index(pairs)
+        assert pair_of.tolist() == want_of
+        assert distinct.tolist() == want_distinct
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1)],  # one interval
+        [(4, 9)] * 5,  # one pair, over and over
+        [(3732, 3733), (0, 3733), (3732, 3733), (0, 1)],  # the largest ids
+    ])
+    def test_edge_cases_match_unique(self, pairs):
+        self.assert_matches_unique(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), top=st.sampled_from([1, 2, 7, 3733, 2**20, 2**31 + 5]))
+    def test_matches_unique(self, data, top):
+        # ids right under the largest one, or from anywhere below it, with repeats
+        ids = st.integers(max(0, top - 3), top) | st.integers(0, top)
+        pair = st.tuples(ids, ids).filter(lambda p: p[0] != p[1]).map(sorted)
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=40))
+        self.assert_matches_unique(pairs + data.draw(st.lists(st.sampled_from(pairs), max_size=10)))
+
+    def test_cache_follows_the_history_length(self):
+        history = ContactHistory([(2, 5, 0.0, 1.0)])
+        state = history_state(history)
+        first = _history_pairs(state)
+        assert _history_pairs(state)[0] is first[0]
+        history.extend((1, 3, 0.0, 1.0))
+        pair_of, distinct = _history_pairs(state)
+        assert pair_of.tolist() == [1, 0] and distinct.tolist() == [[1, 3], [2, 5]]
+
+    def test_traced_peak_on_a_benchmark_sized_history(self):
+        # as many intervals as the accept1_kp benchmark's program seed 1
+        # logs (131,868), between its 3,734 devices; the index and its
+        # temporaries stay within 4 MiB, about 32 bytes an interval
+        n, devices = 131_868, 3734
+        rng = np.random.default_rng(3)
+        i = rng.integers(0, devices - 1, n)
+        j = i + 1 + (rng.integers(0, devices, n) % (devices - 1 - i))
+        u = rng.uniform(0.0, 2000.0, n)
+        cols = np.column_stack((i, j, u, u + rng.uniform(0.0, 60.0, n)))
+        history = ContactHistory()
+        history.data.frombytes(cols.tobytes())
+        state = history_state(history)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pair_of, distinct = _history_pairs(state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        want_of, want_distinct = self.unique_index(np.column_stack((i, j)))
+        assert pair_of.tolist() == want_of
+        assert distinct.tolist() == want_distinct
+        assert peak <= 4 * 2**20
 
 
 class TestHistoryFile:

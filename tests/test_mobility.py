@@ -83,6 +83,22 @@ class TestSampleDevices:
             totals.append(len(sample_devices(g, lam, rng)))
         assert abs(np.mean(totals) - expected) < 3.0 * math.sqrt(expected / 200)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.003, 0.05, 0.4])
+    def test_batched_draws_match_scalar_loop(self, lam):
+        # the oracle draws one count per street, then one scalar fraction
+        # per device, the stream's order before the draws were batched
+        for seed in range(4):
+            g = generate_pvt(600.0, np.random.default_rng(seed), seed_count=12)
+            rng, ref = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+            want = []
+            for eid in sorted(g.edges):
+                count = int(ref.poisson(lam * g.edges[eid].length)) if lam > 0 else 0
+                want += [(eid, float(ref.uniform()).hex()) for _ in range(count)]
+            devices = sample_devices(g, lam, rng)
+            assert [d.id for d in devices] == list(range(len(want)))
+            assert [(d.pos.street, d.pos.p.hex()) for d in devices] == want
+            assert rng.uniform() == ref.uniform()
+
     def test_registration_matches_positions(self, rng):
         g = generate_pvt(600.0, rng, seed_count=12)
         devices = sample_devices(g, 0.05, rng)
@@ -133,6 +149,27 @@ class TestKappaPrime:
         home = StreetPosition(0, g.edges[0].u, g.edges[0].v, 0.5)
         with pytest.raises(ValueError):
             sample_destination_kappa_prime([home], g.L, g, idx, rng)
+
+    def test_traced_peak_on_benchmark_geometry(self):
+        # the accept1_kp benchmark's program seed 1: 3,734 homes on 2,754
+        # streets; the projection ranks them in chunks, so its temporaries
+        # stay small whatever the number of homes
+        root = pathlib.Path(__file__).resolve().parent.parent
+        cfg = load_config(root / "perfbench" / "workloads" / "accept1_kp.json")
+        g = build_geometry(cfg, 1)
+        idx = build_cell_index(g)
+        streams = rng_streams(1)
+        homes = [d.home for d in sample_devices(g, cfg.lambda_per_km / 1000.0,
+                                                streams["placement"])]
+        tracemalloc.start()
+        try:
+            sample_destination_kappa_prime(homes, cfg.kernel.radius_m, g, idx,
+                                           streams["waypoints"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(homes) > 3500
+        assert peak <= 4 * 2**20
 
 
 class TestKappaDoublePrime:
