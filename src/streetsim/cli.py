@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import math
 import os
 import sys
@@ -241,7 +242,14 @@ def main(argv=None) -> int:
     p_thin.set_defaults(func=_cmd_thin)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the modules, classes and functions alive now live as long as the
+    # process: frozen, the full collections that fire during set-up and the
+    # run no longer walk them
+    gc.freeze()
+    try:
+        return args.func(args)
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -1,21 +1,46 @@
 """Continuous-time event engine.
 
-Instead of stepping the whole system in fixed time slices, every device
-carries exactly one pending movement event (reaching a crossing or its
-destination) in a priority queue, and only the device that caused an event
-is updated when it fires.  Which devices share a street is
-``state.occupancy``, one set of device ids per street id, built by
-:func:`initialize` from the devices' positions and kept by the handlers;
-the street graph itself is never written.  Per pair of devices sharing a
-street the engine keeps the analytically solved contact interval; a
-connection is established once a contact has lasted longer than the
-connection time rho.
+Instead of stepping the whole system in fixed time slices, the engine fires
+movement events (a device reaching a crossing or its destination) at their
+exact times, and only the device that caused an event is updated when it
+fires.  Which devices share a street is ``state.occupancy``, one set of
+device ids per street id, built by :func:`initialize` from the devices'
+positions and kept by the handlers; the street graph itself is never
+written.  Per pair of devices sharing a street the engine keeps the
+analytically solved contact interval; a connection is established once a
+contact has lasted longer than the connection time rho.
 
-The queue is ``state.heap``, a binary heap of raw ``(time, kind, device)``
-tuples.  :func:`run` handles every event with time <= T; events at one
-instant fire crossings before destinations, then by device id.  Then a
-single close-out at T brings all positions to T and logs the contacts still
+Contacts never feed back into motion, so each device's event times follow
+from its own commute alone, and :func:`initialize` computes them all up to
+T: the current route, then the reversed route and its reversal, alternately,
+as ``Device.turn_around`` makes them current.  Each time is the previous one
+plus the leg's ``dt`` (metres over velocity), added in order from 0.0, as a
+queue that rescheduled each device when it fired added them.  The schedule
+is two arrays in firing order, ``state.event_times`` (float64) and
+``state.event_codes`` (int32, device * 2 + 1 for a destination, + 0 for a
+crossing): 12 bytes an event and no Python object per event.  They live in
+anonymous memory maps of their own; :func:`run` takes them out of the
+state, walks them in chunks and hands each walked chunk's pages back, so the
+schedule's memory shrinks as the contact history grows.
+
+Events at one instant fire crossings before destinations, then by device
+id, except that an event a device reaches at the instant of its own
+previous event (a zero-duration chain, such as reaching a destination at
+p = 0 and leaving again from p = 1) keeps the largest kind of that chain so
+far.  That is the order in which a heap of one pending ``(time, kind,
+device)`` per device, rescheduled as each event fired, pops them: a stable
+sort of every event by (time, kind', device), kind' the running maximum of
+kind within one device's run of equal times.  After the schedule a single
+close-out at T brings all positions to T and logs the contacts still
 running up to T.
+
+A run's cost is its event count, which :func:`initialize` knows before it
+allocates the schedule: per device the current route's legs plus
+((T - that route's time) / round-trip time + 1) round trips of legs, an
+overcount by about one round trip.  Above :data:`MAX_EVENTS`
+in all it raises :class:`RuntimeInvariantError` naming the device with the
+most events, its count and its commute length (a commute a few ulps long
+would fire events without end).
 
 When ``state.trace`` is set, :func:`run` calls ``state.trace(ev, state)``
 with an :class:`Event` once per event, after the clock has moved to
@@ -35,20 +60,20 @@ it at (T, rho), in numpy over a view of the array: it masks the
 intervals and keeps the distinct pairs as an (m, 2) array, from which the
 graph's ``edges`` frozenset is built only when something reads it.
 
-Contacts never feed back into motion, so ``tests/contact_oracle.py``
-rebuilds the whole history without events, from each device's own commute
-and per-street geometry; the tests require the engine's history to be the
-oracle's (i, j) multiset with endpoints within 1e-9 s, and the same
-connection graph.
+``tests/contact_oracle.py`` rebuilds the whole history without events,
+from each device's own commute and per-street geometry; the tests require
+the engine's history to be the oracle's (i, j) multiset with endpoints
+within 1e-9 s, and the same connection graph.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
-from heapq import heappop, heappush
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +89,7 @@ __all__ = [
     "SimulationState",
     "compute_contact_interval",
     "merge_reversal_interval",
+    "MAX_EVENTS",
     "initialize",
     "run",
     "derived_connection_graph",
@@ -72,7 +98,8 @@ __all__ = [
 
 class EventKind(IntEnum):
     """Event kinds, as written to trace files.  Movement events at one
-    instant fire in this order; the close-out's two records (FINISH, then
+    instant fire in this order, but for a device's zero-duration chain (see
+    the module docstring); the close-out's two records (FINISH, then
     GLOBAL_UPDATE) come after every event at T."""
 
     REACH_CROSSING = 3
@@ -81,10 +108,19 @@ class EventKind(IntEnum):
     FINISH = 6
 
 
-# plain ints for the heap tuples and the dispatch in run
-_CROSSING = int(EventKind.REACH_CROSSING)
-_DESTINATION = int(EventKind.REACH_DESTINATION)
-_KINDS = {_CROSSING: EventKind.REACH_CROSSING, _DESTINATION: EventKind.REACH_DESTINATION}
+# an event code's low bit: 0 for a crossing, 1 for a destination
+_KINDS = (EventKind.REACH_CROSSING, EventKind.REACH_DESTINATION)
+
+# the most events initialize schedules for one run: 26 times the largest
+# count seen on the benchmark's configs (378,228, accept1 program seed 2)
+MAX_EVENTS = 10_000_000
+
+# events run() converts to Python objects, and then releases, at a time
+_CHUNK = 4096
+
+# cells (events) of the blocks in which _schedule adds up event times; a
+# block's temporaries take about 50 bytes a cell
+_BLOCK_CELLS = 1 << 15
 
 
 class Event(NamedTuple):
@@ -280,7 +316,10 @@ class SimulationState:
     rho: float
     T: float
     time: float = 0.0
-    heap: list[tuple[float, int, int]] = field(default_factory=list)
+    # the schedule, in firing order: each event's time, and its device * 2
+    # plus 1 for a destination (0 for a crossing); emptied by the close-out
+    event_times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    event_codes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intc))
     # street id -> ids of the devices on it, one set per street of the graph
     occupancy: dict[int, set[int]] = field(default_factory=dict)
     # running contacts: pair -> (c_min, c_max), c_max possibly +inf; empty after run
@@ -313,16 +352,174 @@ def _settle(state: SimulationState, pair, interval: tuple[float, float], t: floa
 # -- initialization -------------------------------------------------------------
 
 
-def _schedule(heap: list, d: Device, t: float) -> None:
-    """Push the single pending event of a moving device from its current position."""
-    length = d.street_length
-    path = d.path
-    if d.leg == len(path.streets) - 1:
-        dt = (path.end.p - d.pos.p) * length / d.velocity
-        heappush(heap, (t + dt, _DESTINATION, d.id))
-    else:
-        dt = (1.0 - d.pos.p) * length / d.velocity
-        heappush(heap, (t + dt, _CROSSING, d.id))
+def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Times and codes of every event of the moving ``devices`` up to T, in
+    firing order.
+
+    Each device travels its current route, then the two routes
+    ``Device.routes_ahead`` names, alternately.  A leg's time step is its
+    metres over the velocity: (1 - p) * length to leave a route's first
+    street, each interior street's length, end_p * length into its last
+    street, or (end_p - p) * length on a one-street route.  A device's
+    times add the steps in order from 0.0, so each is the previous time
+    plus one step, as a rescheduling heap computed it.  Raises before
+    anything event-sized is allocated when the events would be more than
+    :data:`MAX_EVENTS`.
+    """
+    routes = []  # three per device: (streets, p, end_p)
+    for d in devices:
+        path = d.path
+        routes.append((path.streets[d.leg:], d.pos.p, path.end.p))
+        routes.extend(d.routes_ahead())
+    if not routes:
+        return np.empty(0), np.empty(0, dtype=np.intc)
+    streets, p, end_p = zip(*routes)
+    n_legs = np.fromiter(map(len, streets), dtype=np.intp, count=len(routes))
+    arr = graph.street_arrays()
+    street_ids = np.fromiter(chain.from_iterable(streets), dtype=np.intp, count=int(n_legs.sum()))
+    metres = arr.length[np.searchsorted(arr.ids, street_ids)]
+    last = np.cumsum(n_legs) - 1
+    first = last - (n_legs - 1)
+    p, end_p = np.array(p, dtype=float), np.array(end_p, dtype=float)
+    first_length, last_length = metres[first], metres[last]
+    metres[first] = (1.0 - p) * first_length
+    metres[last] = end_p * last_length
+    one = n_legs == 1
+    metres[first[one]] = (end_p[one] - p[one]) * first_length[one]
+    ids = np.array([d.id for d in devices], dtype=np.intc)
+    velocity = np.array([d.velocity for d in devices], dtype=float)
+    steps = metres / np.repeat(np.repeat(velocity, 3), n_legs)
+    destination = np.zeros(len(steps), dtype=np.intc)
+    destination[last] = 1
+    leg_codes = 2 * np.repeat(np.repeat(ids, 3), n_legs) + destination
+
+    # the budget: the current route's legs, then at most one round trip's
+    # legs more than fit between the end of that route and T
+    route_s = np.add.reduceat(steps, first)
+    period = route_s[1::3] + route_s[2::3]
+    n_first, n_cycle = n_legs[0::3], n_legs[1::3] + n_legs[2::3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        counts = np.where(period > 0.0, n_first + n_cycle
+                          * (np.maximum(T - route_s[0::3], 0.0) / period + 1.0), np.inf)
+    if counts.sum() > MAX_EVENTS:
+        k = int(counts.argmax())
+        commute = float(np.add.reduceat(metres, first)[3 * k + 1])
+        raise RuntimeInvariantError(
+            f"device {ids[k]} would fire {counts[k]:.4g} events by T = {T!r} s on a "
+            f"commute of {commute!r} m; the run's {counts.sum():.4g} events exceed "
+            f"MAX_EVENTS = {MAX_EVENTS:,}"
+        )
+
+    # Each device's times are one row of a block, added along the row;
+    # devices of similar widths share a block.  A row is one round trip
+    # longer than the budget's count: rounding moves a time by far less
+    # than a round trip below MAX_EVENTS events.
+    width = (np.ceil(counts) + n_cycle).astype(np.intp)
+    times = _mapped(int(width.sum()), np.float64)
+    codes = _mapped(len(times), np.intc)
+    n = 0
+    by_width = np.argsort(width, kind="stable")
+    sorted_width = width[by_width].tolist()
+    first_leg, cycle_leg = first[0::3], first[1::3]
+    start = 0
+    while start < len(by_width):
+        stop = start + 1
+        while stop < len(by_width) and (stop + 1 - start) * sorted_width[stop] <= _BLOCK_CELLS:
+            stop += 1
+        rows = by_width[start:stop, None]
+        row_width = sorted_width[stop - 1]
+        # a row wider than a block is added in segments, carrying its time
+        carry = np.zeros((len(rows), 1))
+        segment = max(_BLOCK_CELLS // len(rows), 1)
+        for j0 in range(0, row_width, segment):
+            j = np.arange(j0, min(j0 + segment, row_width))
+            legs = np.where(j < n_first[rows], first_leg[rows] + j,
+                            cycle_leg[rows] + (j - n_first[rows]) % n_cycle[rows])
+            t = steps[legs]
+            t[:, :1] += carry
+            np.add.accumulate(t, axis=1, out=t)
+            fired = t <= T
+            k = int(np.count_nonzero(fired))
+            times[n:n + k] = t[fired]
+            codes[n:n + k] = leg_codes[legs[fired]]
+            n += k
+            if not fired[:, -1].any():
+                break
+            if j[-1] == row_width - 1:
+                raise RuntimeInvariantError("a device fires more events than its row holds")
+            carry = t[:, -1:]
+        start = stop
+
+    times = np.ndarray(n, np.float64, buffer=times.base)
+    return times, _firing_order(times, codes[:n])
+
+
+def _firing_order(times: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Sort the times of events given device by device in place, and return
+    their codes in firing order.
+
+    Each device's events are contiguous and in order.  Events fire by
+    (time, kind', device), and a device's in order, kind' being the running
+    maximum of kind over the device's run of events at one time: the order
+    in which a heap holding each device's next event, pushed when its
+    previous one fires, pops (time, kind, device).  One unstable sort puts
+    the times in order; the events that share a time are then put in order
+    by the rest of the key.
+    """
+    order = np.argsort(times)
+    fired = _mapped(len(times), np.intc)
+    np.take(codes, order, out=fired)
+    times.sort()
+    same = np.flatnonzero(times[1:] == times[:-1])
+    if len(same):
+        tied = np.union1d(same, same + 1)
+        group = np.maximum.accumulate(np.where(np.isin(tied - 1, same), 0, tied))
+        _place_ties(fired, group, codes[order[tied]], order[tied])
+    return fired
+
+
+def _mapped(n: int, dtype) -> np.ndarray:
+    """An array of n items in an anonymous memory map of its own.
+
+    Its pages take memory once written and go back to the system when the
+    array is dropped or :func:`_release` hands them back, so the schedule
+    never leaves holes in the heap that later allocations cannot use.
+    """
+    dtype = np.dtype(dtype)
+    pages = mmap.mmap(-1, max(n, 1) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    return np.ndarray(n, dtype, buffer=pages)
+
+
+def _release(a: np.ndarray, start: int, stop: int) -> None:
+    """Hand the whole pages among items [start, stop) of a mapped array back
+    to the system, once every item before ``stop`` has been read."""
+    if isinstance(a.base, mmap.mmap):
+        lo, hi = (k * a.itemsize // mmap.PAGESIZE * mmap.PAGESIZE for k in (start, stop))
+        if hi > lo:
+            a.base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+
+
+def _place_ties(fired: np.ndarray, first: np.ndarray, code: np.ndarray, seen: np.ndarray) -> None:
+    """Write the codes of events that share a time into ``fired`` in
+    :func:`_firing_order`'s order.
+
+    ``first`` is the first place of each event's time in ``fired``, and
+    ``seen`` its place in the device-by-device order.
+    """
+    by_seen = np.lexsort((seen, first))
+    first, code, seen = first[by_seen], code[by_seen], seen[by_seen]
+    device, kind = code >> 1, code & 1
+    # the previous event of the same device, at the same time
+    chained = np.flatnonzero((seen[1:] == seen[:-1] + 1) & (device[1:] == device[:-1])
+                             & (first[1:] == first[:-1])) + 1
+    while True:  # a destination's kind moves one step along each chain a pass
+        up = chained[kind[chained - 1] > kind[chained]]
+        if not len(up):
+            break
+        kind[up] = 1
+    fire = np.lexsort((seen, device, kind, first))
+    first = first[fire]
+    fired[first + np.arange(len(first)) - np.searchsorted(first, first)] = code[fire]
 
 
 def initialize(
@@ -332,12 +529,14 @@ def initialize(
     rho: float,
     T: float,
 ) -> SimulationState:
-    """Set up run state: street occupancy, initial contacts and the queue,
-    which holds one movement event per moving device.
+    """Set up run state: street occupancy, initial contacts and the
+    schedule of every movement event up to T.
 
     Occupancy is built from the devices' positions and lives in the state;
     the graph is only read, so runs can share it as long as each run gets
-    its own device clones.
+    its own device clones.  Raises :class:`RuntimeInvariantError` before
+    the schedule is allocated when it would hold more than
+    :data:`MAX_EVENTS` events.
     """
     if not 0 < T < math.inf:
         raise ValueError("time horizon must be positive")
@@ -350,6 +549,8 @@ def initialize(
     for d in devices:
         if d.id in dev_map:
             raise ValueError(f"duplicate device id {d.id}")
+        if not 0 <= d.id < 2**30:
+            raise ValueError(f"device id {d.id} outside [0, 2**30), the range of event codes")
         eid = d.pos.street
         d.street_length = graph.edges[eid].length
         occupancy[eid].add(d.id)
@@ -364,131 +565,70 @@ def initialize(
                 interval = compute_contact_interval(dev_map[di_id], dev_map[dj_id], street, 0.0, r)
                 if interval is not None:
                     state.active[(di_id, dj_id)] = interval
-    for did in sorted(dev_map):
-        d = dev_map[did]
-        if d.moving:
-            _schedule(state.heap, d, 0.0)
+
+    state.event_times, state.event_codes = _schedule(
+        [d for d in dev_map.values() if d.moving], graph, T)
     return state
 
 
 # -- handlers --------------------------------------------------------------------
 #
-# The two movement handlers run once per event and carry the hot path: the
-# contact bookkeeping of entering a street, advancing residents and solving
-# contact windows, is written out in them rather than called.  A contact
-# that stops is settled by _settle, as at the close-out.
+# A crossing, the most frequent event, is handled inside run's loop; a
+# destination by _reach_destination.  The contact bookkeeping of entering a
+# street, advancing residents and solving contact windows, is written out
+# rather than called.  A contact that stops is settled as _settle does.
 # Occupancy sets are walked unsorted; nothing the walk produces depends on
 # its order (history is sorted on write, graphs are frozensets).
 
 
-def _reach_crossing(state: SimulationState, d: Device, t: float) -> None:
-    """The device leaves its street, enters the next one and reschedules."""
-    path = d.path
-    streets = path.streets
-    leg = d.leg
-    last = len(streets) - 1
-    if leg >= last:
-        raise RuntimeInvariantError(
-            f"device {d.id} has no next street; destination event was missed"
-        )
-    occupancy = state.occupancy
-    active = state.active
-    did = d.id
+def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
+    """Reverse the traveled path and update contacts for the changed motion.
 
-    # leave: settle contacts with everyone left behind
-    members = occupancy[streets[leg]]
-    members.discard(did)
-    for oid in members:
-        pair = (did, oid) if did < oid else (oid, did)
-        interval = active.pop(pair, None)
-        if interval is not None:
-            _settle(state, pair, interval, t)
-
-    # enter at p = 0, moving from the crossing towards the street's other end
-    crossing = path.crossings[leg]
-    leg += 1
-    d.leg = leg
-    eid = streets[leg]
+    Per co-resident this is ``_solve_window`` on ``_relative_line`` and
+    ``merge_reversal_interval``, written out with the same float operations;
+    the turning device's line is referenced to t, where its m*(t - t) term
+    adds 0.0.
+    """
+    eid = d.path.streets[d.leg]
     street = state.graph.edges[eid]
     length = street.length
     u = street.u
-    d.pos = StreetPosition(eid, crossing, street.v if crossing == u else u, 0.0)
-    d.time_of_pos = t
-    d.street_length = length
-    v = d.velocity
-    members = occupancy[eid]
-    if members:
-        # bring each resident to t and solve the contact window in closed
-        # form, as advance_to and compute_contact_interval do; both lines are
-        # referenced to t, where _relative_line's m*(t - t) terms add 0.0
-        devices = state.devices
-        r = state.r
-        x_d, m_d = (0.0, v) if crossing == u else (length, -v)
-        for oid in members:
-            o = devices[oid]
-            sid, v1, v2, p = o.pos
-            t0 = o.time_of_pos
-            if t < t0 - 1e-9:
-                raise ValueError(f"cannot evaluate device {oid} before its stored time")
-            if o.moving:
-                p_t = p + (t - t0) * o.velocity / o.street_length
-                if p_t > 1.0 + 1e-9:
-                    raise RuntimeInvariantError(
-                        f"device {oid} overshot its street (p={p_t}); missed crossing event"
-                    )
-                if p_t > 1.0:
-                    p_t = 1.0
-                if p_t != p:
-                    p = p_t
-                    o.pos = StreetPosition(sid, v1, v2, p)
-                m_o = o.velocity if v1 == u else -o.velocity
-            else:
-                m_o = 0.0
-            o.time_of_pos = t
-            if sid != eid:
-                raise RuntimeInvariantError(
-                    f"devices {did}, {oid} are not both on street {eid}"
-                )
-            a = x_d - (p * length if v1 == u else (1.0 - p) * length)
-            b = m_d - m_o
-            pair = (did, oid) if did < oid else (oid, did)
-            if b != 0.0:
-                lo = (-r - a) / b
-                hi = (r - a) / b
-                if not lo <= hi:
-                    lo, hi = hi, lo
-                if not hi < 0.0:
-                    active[pair] = (t + max(lo, 0.0), t + hi)
-            elif abs(a) <= r:  # parallel and in contact: [t, inf)
-                active[pair] = (t, math.inf)
-    members.add(did)
-    # _schedule's times for p = 0, where (x - 0.0) and (1.0 - 0.0) * x are x
-    if leg == last:
-        heappush(state.heap, (t + path.end.p * length / v, _DESTINATION, did))
-    else:
-        heappush(state.heap, (t + length / v, _CROSSING, did))
-
-
-def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
-    """Reverse the traveled path and update contacts for the changed motion."""
-    eid = d.path.streets[d.leg]
-    street = state.graph.edges[eid]
     d.leg = 0
-    d.pos = d.turn_around().start
+    d.pos = pos = d.turn_around().start
     d.time_of_pos = t
     did = d.id
+    v = d.velocity
+    x_d, m_d = (pos.p * length, v) if pos.v1 == u else ((1.0 - pos.p) * length, -v)
     devices = state.devices
     active = state.active
     r = state.r
     for oid in state.occupancy[eid]:
         if oid == did:
             continue
-        win = _solve_window(*_relative_line(d, devices[oid], street, t), r)
-        new_abs = None if win is None else (t + win[0], t + win[1])
+        o = devices[oid]
+        _, v1, _, p = o.pos
+        x_o = p * length if v1 == u else (1.0 - p) * length
+        m_o = (o.velocity if v1 == u else -o.velocity) if o.moving else 0.0
+        a = x_d - (x_o + m_o * (t - o.time_of_pos))
+        b = m_d - m_o
+        # the new motion's contact window [lo, hi], if any
+        if b != 0.0:
+            lo = (-r - a) / b
+            hi = (r - a) / b
+            if not lo <= hi:
+                lo, hi = hi, lo
+            lo, hi, solved = t + lo, t + hi, True
+        else:
+            lo, hi, solved = -math.inf, math.inf, abs(a) <= r
         pair = (did, oid) if did < oid else (oid, did)
         interval = active.get(pair)
         if interval is not None:
-            merged = merge_reversal_interval(interval, new_abs, t)
+            if solved and lo < t < hi:
+                merged = (interval[0], hi)
+            elif not solved or hi < t:
+                merged = None
+            else:
+                merged = (max(lo, t), hi)
             # a contact that goes on (same start) is settled when it stops
             if merged is None or merged[0] != interval[0]:
                 _settle(state, pair, interval, t)
@@ -496,45 +636,123 @@ def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
                 del active[pair]
             else:
                 active[pair] = merged
-        elif new_abs is not None and new_abs[1] >= t:
-            active[pair] = (max(new_abs[0], t), new_abs[1])
-    if d.moving:
-        _schedule(state.heap, d, t)
+        elif solved and hi >= t:
+            active[pair] = (max(lo, t), hi)
 
 
 def run(state: SimulationState) -> ConnectionGraph:
-    """Handle every event up to the horizon T, close out at T and return
-    the connection graph at (T, rho), read from the history.
+    """Fire every scheduled event, close out at T and return the
+    connection graph at (T, rho), read from the history.
 
-    The close-out brings every device to T, logs every contact still
-    running up to T and empties ``state.active``.  Identical inputs (same
-    sampled geometry, devices and parameters) produce a bitwise-identical
-    result.
+    The run takes the schedule out of the state, which holds an empty one
+    from then on, and hands each chunk's pages back once it has fired.  The
+    close-out brings every device to T, logs every contact still running up
+    to T and empties ``state.active``.  Identical inputs (same sampled
+    geometry, devices and parameters) produce a bitwise-identical result.
     """
-    heap = state.heap
     devices = state.devices
+    occupancy = state.occupancy
+    active = state.active
+    edges = state.graph.edges
+    r = state.r
+    log = state.history.extend
     trace = state.trace
-    T = state.T
-    now = state.time
-    while heap and heap[0][0] <= T:
-        t, kind, dev = heappop(heap)
-        if t < now - 1e-9:
-            raise RuntimeInvariantError(f"event time regression: {t} after {now}")
-        state.time = now = t
-        if trace is not None:
-            trace(Event(t, _KINDS[kind], dev), state)
-        if kind == _CROSSING:
-            _reach_crossing(state, devices[dev], t)
-        else:
-            _reach_destination(state, devices[dev], t)
-    state.time = T
+    times, codes = state.event_times, state.event_codes
+    state.event_times, state.event_codes = np.empty(0), np.empty(0, dtype=np.intc)
+    for start in range(0, len(times), _CHUNK):
+        stop = start + _CHUNK
+        for t, code in zip(times[start:stop].tolist(), codes[start:stop].tolist()):
+            did = code >> 1
+            state.time = t
+            if trace is not None:
+                trace(Event(t, _KINDS[code & 1], did), state)
+            d = devices[did]
+            if code & 1:
+                _reach_destination(state, d, t)
+                continue
+
+            # a crossing: leave, settling contacts with everyone left behind
+            path = d.path
+            streets = path.streets
+            leg = d.leg
+            members = occupancy[streets[leg]]
+            members.discard(did)
+            for oid in members:
+                pair = (did, oid) if did < oid else (oid, did)
+                interval = active.pop(pair, None)
+                if interval is not None:
+                    c_min, c_max = interval
+                    w = t if t < c_max else c_max  # min(c_max, t)
+                    if w > c_min:
+                        log((pair[0], pair[1], c_min, w))
+
+            # enter the next street at p = 0, moving from the crossing
+            # towards the street's other end
+            crossing = path.crossings[leg]
+            leg += 1
+            d.leg = leg
+            eid = streets[leg]
+            street = edges[eid]
+            length = street.length
+            u = street.u
+            d.pos = StreetPosition(eid, crossing, street.v if crossing == u else u, 0.0)
+            d.time_of_pos = t
+            d.street_length = length
+            members = occupancy[eid]
+            if members:
+                # bring each resident to t and solve the contact window in
+                # closed form, as advance_to and compute_contact_interval do;
+                # both lines are referenced to t, where _relative_line's
+                # m*(t - t) terms add 0.0
+                v = d.velocity
+                x_d, m_d = (0.0, v) if crossing == u else (length, -v)
+                for oid in members:
+                    o = devices[oid]
+                    sid, v1, v2, p = o.pos
+                    t0 = o.time_of_pos
+                    if t < t0 - 1e-9:
+                        raise ValueError(f"cannot evaluate device {oid} before its stored time")
+                    if o.moving:
+                        p_t = p + (t - t0) * o.velocity / o.street_length
+                        if p_t > 1.0 + 1e-9:
+                            raise RuntimeInvariantError(
+                                f"device {oid} overshot its street (p={p_t}); missed crossing event"
+                            )
+                        if p_t > 1.0:
+                            p_t = 1.0
+                        if p_t != p:
+                            p = p_t
+                            o.pos = StreetPosition(sid, v1, v2, p)
+                        m_o = o.velocity if v1 == u else -o.velocity
+                    else:
+                        m_o = 0.0
+                    o.time_of_pos = t
+                    if sid != eid:
+                        raise RuntimeInvariantError(
+                            f"devices {did}, {oid} are not both on street {eid}"
+                        )
+                    a = x_d - (p * length if v1 == u else (1.0 - p) * length)
+                    b = m_d - m_o
+                    pair = (did, oid) if did < oid else (oid, did)
+                    if b != 0.0:
+                        lo = (-r - a) / b
+                        hi = (r - a) / b
+                        if not lo <= hi:
+                            lo, hi = hi, lo
+                        if not hi < 0.0:
+                            active[pair] = (t + max(lo, 0.0), t + hi)
+                    elif abs(a) <= r:  # parallel and in contact: [t, inf)
+                        active[pair] = (t, math.inf)
+            members.add(did)
+        _release(times, start, stop)
+        _release(codes, start, stop)
+    state.time = T = state.T
     if trace is not None:
         trace(Event(T, EventKind.FINISH), state)
         trace(Event(T, EventKind.GLOBAL_UPDATE), state)
-    heap.clear()
+    del times, codes
     for did in sorted(devices):
         advance_to(devices[did], T)
-    active = state.active
     for pair in sorted(active):
         _settle(state, pair, active[pair], T)
     active.clear()

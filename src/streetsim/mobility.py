@@ -133,6 +133,21 @@ class Device:
         self._path = rev
         return rev
 
+    def routes_ahead(self) -> tuple[tuple, tuple]:
+        """The next two routes :meth:`turn_around` makes current, after which
+        the device alternates between them, as ``(streets, start p, end p)``.
+
+        Nothing is built: the fractions are flipped as :meth:`Path.reverse`
+        flips them.
+        """
+        path = self._path
+        rev = self._reversed
+        if rev is not None:
+            return ((rev.streets, rev.start.p, rev.end.p),
+                    (path.streets, path.start.p, path.end.p))
+        back = (path.streets[::-1], 1.0 - path.end.p, 1.0 - path.start.p)
+        return back, (path.streets, 1.0 - back[2], 1.0 - back[1])
+
     def clone(self) -> "Device":
         twin = Device(
             self.id, self.pos, self.time_of_pos, self.velocity, self._path,

@@ -8,10 +8,10 @@ the engine's queue, events or handlers:
 1. Each device's commute is replayed into street visits
    ``(street, t_in, t_out, x_in, m)``: on ``[t_in, t_out]`` the device sits
    at ``x_in + m*(t - t_in)`` metres from the street's endpoint ``u``.  Event
-   times use ``_schedule``'s ``dt`` expressions in the same order, so they
-   are the engine's bit for bit; events with ``t <= T`` fire.  A visit is
-   split at every destination reversal, and a stationary device has one
-   visit over ``[0, T]``.
+   times add the engine's ``dt`` expressions (metres over velocity) in the
+   same order, from 0.0, so they are the engine's bit for bit; events with
+   ``t <= T`` fire.  A visit is split at every destination reversal, and a
+   stationary device has one visit over ``[0, T]``.
 2. Per street, a sort-and-sweep finds the overlapping visits of distinct
    devices.  Each overlap solves ``|dx| <= r`` in closed form, from the
    overlap's start, as the engine does when a device enters a street or
@@ -21,12 +21,14 @@ the engine's queue, events or handlers:
    ``merge_reversal_interval`` does; every other window is settled at the
    overlap's end, as ``_settle`` does.
 
-Events at one instant are ordered by (kind, device), as in the engine's heap,
-except that an event a device schedules for the instant it is already at (a
-zero-duration chain: reach a destination at p = 0, turn, leave) sorts after
-every event scheduled earlier for that instant.  The heap can interleave
-such a chain differently; that moves only zero-length co-residences, which
-log nothing and establish nothing.
+Events at one instant are ordered by (kind, device), as in the engine's
+schedule, except that an event a device reaches at the instant it is already
+at (a zero-duration chain: reach a destination at p = 0, turn, leave) sorts
+after every event reached earlier at that instant.  The engine orders such a
+chain by the running maximum of its kinds instead (``engine._firing_order``),
+as a rescheduling heap would; that moves only zero-length co-residences,
+which log nothing and establish nothing.  ``heap_reference.py`` merges this
+replay's per-device events in the engine's order.
 
 Everything after the per-device replay is numpy.
 """
@@ -41,6 +43,7 @@ from streetsim.engine import derived_connection_graph
 
 _INIT = -1  # rank of the state at t = 0, before every event
 _CLOSE = np.iinfo(np.int64).max  # rank of the close-out at T, after every event
+_RANK_BASE = 1 << 20  # > any device id: ranks sort by (wave, kind, device)
 _CROSSING, _DESTINATION = 3, 4
 
 
@@ -68,7 +71,7 @@ def device_visits(d, graph, T: float) -> list[tuple]:
     if not d.moving:
         x = p * street.length if v1 == street.u else (1.0 - p) * street.length
         return [(eid, 0.0, _INIT, T, _CLOSE, x, 0.0, False)]
-    n = 1 << 20  # > any device id: ranks sort by (wave, kind, device)
+    n = _RANK_BASE
     path, leg, v = d.path, d.leg, d.velocity
     t, rank, turned, wave = 0.0, _INIT, False, 0
     visits = []

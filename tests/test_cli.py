@@ -283,6 +283,27 @@ class TestRun:
         path = write_config(tmp_path, base_config())
         assert main(["run", path, "--out", str(tmp_path / "x")]) == 3
 
+    def test_event_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a commute a few ulps long would fire events without end: the run
+        # stops before its event loop, naming the device
+        import streetsim.analysis as analysis
+        from streetsim.streets import StreetPosition
+
+        from conftest import make_device, make_graph
+
+        def few_ulp_commute(cfg, seed):
+            g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (200, 0)}, [(0, 1), (1, 2)])
+            d = make_device(7, g, StreetPosition(0, 0, 1, 0.9999999999999999),
+                            StreetPosition(1, 1, 2, 0.0), 1.0)
+            return g, [d], cfg.velocity
+
+        monkeypatch.setattr(analysis, "build_seed_state", few_ulp_commute)
+        path = write_config(tmp_path, base_config(seeds=[1]))
+        assert main(["run", path, "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime invariant breach: device 7 would fire")
+        assert "MAX_EVENTS = 10,000,000" in err
+
     def test_trace_file_closed_on_runtime_breach(self, tmp_path, monkeypatch):
         # the sweep's simulation fails at its first turn-around: exit 3, and
         # the trace file it was writing is closed and holds the events that

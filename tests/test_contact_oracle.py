@@ -5,6 +5,7 @@ within 1e-9 s, and the same connection graph."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from streetsim.streets import StreetPosition
 
 from conftest import make_device, make_graph
 from contact_oracle import assert_matches_engine, contact_oracle
+from heap_reference import heap_merge, replayed_events, scheduled
 from test_engine_golden import GOLDEN_CASES, GOLDEN_IDS, golden_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +127,19 @@ def tiny_runs(draw):
 def test_tiny_graphs(case):
     g, devices, T = case
     assert_matches_engine(*engine_and_oracle(g, devices, R, RHO, T))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_runs())
+def test_schedule_is_the_replay_merged_by_a_heap(case):
+    # each device's events are the oracle's replay of its commute, and they
+    # fire in the order a rescheduling heap pops them
+    g, devices, T = case
+    state = initialize(g, [d.clone() for d in devices], r=R, rho=RHO, T=T)
+    replay = {d.id: replayed_events(d, g, T) for d in devices}
+    counts = np.bincount(state.event_codes >> 1, minlength=len(devices))
+    assert counts.tolist() == [len(replay[d.id]) for d in devices]
+    assert scheduled(state) == heap_merge(replay)
 
 
 def test_simultaneous_arrivals_at_a_crossing():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import streetsim.engine as engine
 from streetsim.config import build_seed_state, parse_config
 from streetsim.engine import (
     ContactHistory,
@@ -18,6 +20,7 @@ from streetsim.mobility import Device, Path, RuntimeInvariantError, assign_commu
 from streetsim.streets import StreetPosition
 
 from conftest import make_device, make_graph
+from heap_reference import KINDS, heap_merge, replayed_events, scheduled
 
 
 def two_device_scenario(T=120.0, r=20.0, rho=10.0):
@@ -147,20 +150,20 @@ class TestQueueAndInit:
         g = make_graph(500.0, {0: (0, 0), 1: (200, 0), 2: (200, 100)}, [(0, 1), (1, 2)])
         d = make_device(0, g, StreetPosition(0, 0, 1, 0.25), StreetPosition(1, 1, 2, 0.9), 2.0)
         state = initialize(g, [d], r=5.0, rho=1.0, T=300.0)
-        assert sorted(state.heap) == [(75.0, EventKind.REACH_CROSSING, 0)]
+        assert scheduled(state)[0] == (75.0, EventKind.REACH_CROSSING, 0)
 
     def test_destination_event_time_same_street(self):
         g = make_graph(500.0, {0: (0, 0), 1: (200, 0)}, [(0, 1)])
         d = make_device(0, g, StreetPosition(0, 0, 1, 0.25), StreetPosition(0, 0, 1, 0.75), 2.0)
         state = initialize(g, [d], r=5.0, rho=1.0, T=300.0)
-        assert sorted(state.heap) == [(50.0, EventKind.REACH_DESTINATION, 0)]
+        assert scheduled(state)[0] == (50.0, EventKind.REACH_DESTINATION, 0)
 
     def test_finish_event_present(self):
-        # the queue holds movement events only; FINISH and GLOBAL_UPDATE are
-        # the close-out's two records, the last the trace hook sees
+        # the schedule holds movement events only; FINISH and GLOBAL_UPDATE
+        # are the close-out's two records, the last the trace hook sees
         g, state = two_device_scenario(T=300.0)
-        assert sorted(state.heap) == [(100.0, EventKind.REACH_DESTINATION, 0),
-                                      (100.0, EventKind.REACH_DESTINATION, 1)]
+        assert scheduled(state)[:2] == [(100.0, EventKind.REACH_DESTINATION, 0),
+                                        (100.0, EventKind.REACH_DESTINATION, 1)]
         seen = traced_run(state)
         assert seen[-2:] == [(300.0, EventKind.FINISH, None),
                              (300.0, EventKind.GLOBAL_UPDATE, None)]
@@ -172,7 +175,15 @@ class TestQueueAndInit:
         d = make_device(0, g, home, home, 1.0)
         assert not d.moving
         state = initialize(g, [d], r=5.0, rho=1.0, T=100.0)
-        assert state.heap == []
+        assert scheduled(state) == []
+
+    @pytest.mark.parametrize("did", [-1, 2**30])
+    def test_rejects_device_ids_outside_the_event_codes(self, did, single_street_graph):
+        # an event code is the device id * 2 plus the kind, in an int32
+        d = make_device(did, single_street_graph, StreetPosition(0, 0, 1, 0.0),
+                        StreetPosition(0, 0, 1, 1.0), 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            initialize(single_street_graph, [d], r=5.0, rho=1.0, T=10.0)
 
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_horizon_outside_zero_to_inf(self, T, single_street_graph):
@@ -208,6 +219,107 @@ class TestQueueAndInit:
         seen = traced_run(initialize(g, [d9, d2], r=5.0, rho=1.0, T=60.0))
         assert [ev for ev in seen if ev[0] == 50.0] == [
             (50.0, EventKind.REACH_CROSSING, 2), (50.0, EventKind.REACH_CROSSING, 9)]
+
+
+@st.composite
+def device_sequences(draw):
+    """Events (time, kind) of a few devices, each in its own order, with
+    many equal times: zero steps, and steps that meet other devices' times."""
+    steps = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    sequences = {}
+    for did in draw(st.lists(st.integers(0, 1000), min_size=1, max_size=8, unique=True)):
+        t, seq = 0.0, []
+        for dt, kind in draw(st.lists(st.tuples(steps, st.sampled_from(KINDS)), max_size=12)):
+            t += dt
+            seq.append((t, kind))
+        sequences[did] = seq
+    return sequences
+
+
+class TestSchedule:
+    """The presorted schedule fires events in the order of a heap that holds
+    each device's next event, rescheduled as its previous one fires."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(device_sequences(), st.randoms(use_true_random=False))
+    def test_firing_order_is_the_heap_merge(self, sequences, rnd):
+        # devices may come in any order, each one's events contiguous
+        order = list(sequences)
+        rnd.shuffle(order)
+        times = np.array([t for did in order for t, _ in sequences[did]], dtype=float)
+        codes = np.array([2 * did + (kind == EventKind.REACH_DESTINATION)
+                          for did in order for _, kind in sequences[did]], dtype=np.intc)
+        fired = engine._firing_order(times, codes)
+        assert [(t, KINDS[c & 1], c >> 1) for t, c in zip(times.tolist(), fired.tolist())] \
+            == heap_merge(sequences)
+
+    def test_zero_duration_chain(self):
+        # at t = 25 device 1 crosses onto street 2, reaches its destination
+        # at that street's start, turns and crosses back, all at one instant;
+        # 0 and 3 reach destinations and 2 a crossing at the same instant
+        g = make_graph(500.0, {0: (0.0, 0.0), 1: (30.0, 0.0), 2: (40.0, 0.0), 3: (80.0, 0.0)},
+                       [(0, 1), (1, 2), (2, 3)])
+        devices = [
+            make_device(0, g, StreetPosition(2, 2, 3, 0.125), StreetPosition(2, 2, 3, 0.75), 1.0),
+            make_device(1, g, StreetPosition(0, 0, 1, 0.5), StreetPosition(2, 2, 3, 0.0), 1.0),
+            make_device(2, g, StreetPosition(2, 2, 3, 0.625), StreetPosition(1, 1, 2, 0.5), 1.0),
+            make_device(3, g, StreetPosition(2, 2, 3, 0.875), StreetPosition(2, 2, 3, 0.25), 1.0),
+        ]
+        reference = heap_merge({d.id: replayed_events(d, g, 60.0) for d in devices})
+        state = initialize(g, [d.clone() for d in devices], r=5.0, rho=1.0, T=60.0)
+        assert scheduled(state) == reference
+        crossing, destination = KINDS
+        assert [ev for ev in reference if ev[0] == 25.0] == [
+            (25.0, crossing, 1), (25.0, crossing, 2), (25.0, destination, 0),
+            (25.0, destination, 1), (25.0, crossing, 1), (25.0, destination, 3)]
+        assert traced_run(state)[:-2] == reference
+
+    def test_rows_wider_than_a_block(self, monkeypatch):
+        # a device's times added in several segments, carried across them
+        g, state = two_device_scenario(T=5000.0)
+        monkeypatch.setattr(engine, "_BLOCK_CELLS", 4)
+        g, narrow = two_device_scenario(T=5000.0)
+        assert len(narrow.event_times) == 100
+        assert scheduled(narrow) == scheduled(state)
+
+
+class TestEventBudget:
+    """initialize counts the events before it allocates their schedule."""
+
+    def test_commute_a_few_ulps_long(self):
+        # home an ulp before crossing 1, destination at crossing 1 on the
+        # next street: 1.1e-14 m, and events without end
+        g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (300, 0)},
+                       [(0, 1), (1, 2), (2, 3)])
+        d = make_device(0, g, StreetPosition(0, 0, 1, 0.9999999999999999),
+                        StreetPosition(1, 1, 2, 0.0), 1.0)
+        assert d.moving
+        with pytest.raises(RuntimeInvariantError,
+                           match=r"device 0 would fire 7\.\d+e\+16 events .* commute of 1\.1\d*e-14 m"):
+            initialize(g, [d], r=20.0, rho=5.0, T=400.0)
+
+    def test_nanometre_commute(self, single_street_graph):
+        g = single_street_graph
+        d = make_device(0, g, StreetPosition(0, 0, 1, 0.5), StreetPosition(0, 0, 1, 0.5 + 1e-11), 1.0)
+        with pytest.raises(RuntimeInvariantError,
+                           match=r"device 0 would fire 1e\+11 events .* commute of 1\.0\d*e-09 m"):
+            initialize(g, [d], r=20.0, rho=5.0, T=100.0)
+
+    def test_names_the_device_with_most_events(self, monkeypatch):
+        # device 1 turns every 10 s, device 0 every 100 s: 30 and 3 events
+        # by T = 300, counted as 32 and 5, up to one round trip to spare
+        g = make_graph(500.0, {0: (0.0, 0.0), 1: (100.0, 0.0)}, [(0, 1)])
+        devices = [
+            make_device(0, g, StreetPosition(0, 0, 1, 0.0), StreetPosition(0, 0, 1, 1.0), 1.0),
+            make_device(1, g, StreetPosition(0, 0, 1, 0.5), StreetPosition(0, 0, 1, 0.6), 1.0),
+        ]
+        monkeypatch.setattr(engine, "MAX_EVENTS", 36)
+        with pytest.raises(RuntimeInvariantError, match=r"device 1 would fire 32 events .* "
+                                                        r"the run's 37 events exceed MAX_EVENTS = 36"):
+            initialize(g, [d.clone() for d in devices], r=5.0, rho=1.0, T=300.0)
+        monkeypatch.setattr(engine, "MAX_EVENTS", 37)
+        state = initialize(g, [d.clone() for d in devices], r=5.0, rho=1.0, T=300.0)
+        assert np.bincount(state.event_codes >> 1).tolist() == [3, 30]
 
 
 class TestMergeRule:
@@ -317,37 +429,38 @@ class TestHandlers:
         for d in state.devices.values():
             assert d.time_of_pos == 80.0
             assert d.pos.p == 0.8
-        assert state.heap == []
+        assert scheduled(state) == []
 
     def test_finish_replaces_queue(self):
-        # both devices turn at t = 100, after the horizon: those pending
-        # events never fire and the close-out empties the queue
+        # both devices turn at t = 100, after the horizon: nothing is
+        # scheduled, and the close-out releases the empty schedule
         g, state = two_device_scenario(T=50.0)
+        assert scheduled(state) == []
         assert traced_run(state) == [(50.0, EventKind.FINISH, None),
                                      (50.0, EventKind.GLOBAL_UPDATE, None)]
-        assert state.heap == []
+        assert scheduled(state) == []
         assert all(d.pos.p == 0.5 for d in state.devices.values())
 
     def test_event_at_horizon_fires_before_close_out(self):
         # both devices turn at exactly T = 100; the turns are traced and
-        # handled (the [40, 60] contact settled, new events pushed) before
-        # the close-out's two records
+        # handled (the [40, 60] contact settled) before the close-out's two
+        # records, and their next turns, at 200, are not scheduled
         g, state = two_device_scenario(T=100.0)
+        assert scheduled(state) == [(100.0, EventKind.REACH_DESTINATION, 0),
+                                    (100.0, EventKind.REACH_DESTINATION, 1)]
         at_finish = []
 
         def hook(ev, st):
             if ev.kind == EventKind.FINISH:
-                at_finish.append((set(st.established), list(st.history), sorted(st.heap)))
+                at_finish.append((set(st.established), list(st.history), scheduled(st)))
 
         seen = traced_run(state, hook)
         assert seen == [(100.0, EventKind.REACH_DESTINATION, 0),
                         (100.0, EventKind.REACH_DESTINATION, 1),
                         (100.0, EventKind.FINISH, None),
                         (100.0, EventKind.GLOBAL_UPDATE, None)]
-        assert at_finish == [({(0, 1)}, [(0, 1, 40.0, 60.0)],
-                              [(200.0, EventKind.REACH_DESTINATION, 0),
-                               (200.0, EventKind.REACH_DESTINATION, 1)])]
-        assert state.heap == []
+        assert at_finish == [({(0, 1)}, [(0, 1, 40.0, 60.0)], [])]
+        assert scheduled(state) == []
 
 
 class TestRun:

@@ -862,6 +862,18 @@ class TestDeviceMotionState:
             assert d.turn_around() == expected
             assert d.path == expected and d.clone().turn_around() == expected.reverse()
 
+    @given(p=st.floats(0.0, 1.0, allow_nan=False), q=st.floats(0.0, 1.0, allow_nan=False))
+    def test_routes_ahead_are_the_next_turns(self, p, q):
+        # before and after any number of turns, bitwise the next two routes
+        path = Path(StreetPosition(0, 1, 2, p), (2, 5), StreetPosition(3, 5, 4, q), (0, 7, 3))
+        d = Device(0, path.start, 0.0, 1.0, path, path.start, path.end)
+        for _ in range(4):
+            ahead = d.routes_ahead()
+            twin = d.clone()
+            turns = [twin.turn_around() for _ in range(2)]
+            assert ahead == tuple((r.streets, r.start.p, r.end.p) for r in turns)
+            d.turn_around()
+
 
 class TestVelocities:
     def test_dirac(self, rng):
