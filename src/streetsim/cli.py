@@ -5,7 +5,9 @@ Subcommands:
 * ``run <config.json> [--seed-offset N] [--jobs K] [--out DIR]`` -- execute
   the configured experiment and write the sweep CSV (plus optional event
   traces and contact-history dumps per seed, taken from the sweep's one
-  simulation of that seed).
+  simulation of that seed).  A seed's trace is written from its event
+  schedule by a process forked beside the event loop; its history is
+  written when the loop ends.
 * ``validate <config.json>`` -- report config violations.
 * ``gen-streets <config.json> --out graph.json`` -- generate and export the
   street system of the first seed.
@@ -24,6 +26,7 @@ import dataclasses
 import gc
 import math
 import os
+import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -38,6 +41,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .config import ConfigError, ExperimentConfig, build_geometry, load_config, validate_config
+from .engine import EventKind, event_streets
 from .mobility import RuntimeInvariantError
 from .streets import DegenerateTessellation, StreetGraph
 
@@ -45,9 +49,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# history rows formatted per write, so the text of a long history is never
-# held in memory all at once
+# history rows (and trace lines) formatted per write, so the text of a long
+# history or trace is never held in memory all at once
 HISTORY_CHUNK_ROWS = 8192
+
+# a trace line's kind, by the low bit of the event's code
+_KIND_NUMBER = (int(EventKind.REACH_CROSSING), int(EventKind.REACH_DESTINATION))
 
 
 def _cmd_validate(args) -> int:
@@ -80,31 +87,83 @@ def _load_valid_config(path) -> ExperimentConfig:
 def _emit_side_outputs(cfg: ExperimentConfig, out_dir: FsPath, seed: int, state):
     """Context the sweep runs one seed's ``state`` in, writing its trace and history.
 
-    The trace writer on ``state.trace`` also calls the hook that was there;
-    the sorted history is written on a clean exit.
+    The trace is a function of the schedule ``initialize`` made, so a
+    process forked on entry writes it while the event loop runs in this one;
+    the file is opened here first, so a path that cannot be written raises
+    before anything is forked.  The writer is reaped on every way out: after
+    it finishes when the run ends or fails, killed first when the run is
+    interrupted.  A writer that fails raises :class:`OSError` naming the
+    file.  The sorted history is written on a clean exit.
     """
-    trace_out = (open(out_dir / f"trace-seed{seed}.jsonl", "w") if cfg.outputs.trace
-                 else contextlib.nullcontext())
-    with trace_out as trace_fh:
-        if trace_fh is not None:
-            write, devices, chained = trace_fh.write, state.devices, state.trace
-            number = float.__repr__
-
-            # the bytes json.dumps gives for the event's record, at a fraction of its cost
-            def trace_cb(ev, st):
-                t, kind, dev = ev
-                if dev is None:
-                    write(f'{{"t": {number(t)}, "kind": {int(kind)}, "device": null, "street": null}}\n')
-                else:
-                    write(f'{{"t": {number(t)}, "kind": {int(kind)}, "device": {dev}, '
-                          f'"street": {devices[dev].pos.street}}}\n')
-                if chained is not None:
-                    chained(ev, st)
-
-            state.trace = trace_cb
+    writer = None
+    if cfg.outputs.trace:
+        trace_path = out_dir / f"trace-seed{seed}.jsonl"
+        with open(trace_path, "w") as fh:
+            writer = _fork_trace_writer(fh, state)
+    if writer is not None:
+        try:
+            yield
+        except BaseException as exc:
+            if not isinstance(exc, Exception):
+                os.kill(writer, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(writer, 0)[1])
+        if status != 0:
+            raise OSError(f"cannot write {trace_path}: the trace writer exited with status {status}")
+    else:
         yield
     if cfg.outputs.history:
         _write_history(out_dir / f"history-seed{seed}.csv", state.history)
+
+
+def _fork_trace_writer(fh, state) -> int | None:
+    """Fork a process that writes ``state``'s trace to ``fh`` and exits, and
+    return its pid; where no process can be forked, write the trace here and
+    return None.
+
+    The writer leaves only through ``os._exit``, with status 0 once the file
+    is written and closed and 1 on any exception, so it never runs the rest
+    of the sweep, nor flushes this process's buffers or exit handlers.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        _write_trace(fh, state)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # a collection would copy the pages it touches
+            _write_trace(fh, state)
+            fh.close()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _write_trace(fh, state) -> None:
+    """One JSON line per scheduled event, in firing order, then the
+    close-out's FINISH and GLOBAL_UPDATE lines at T, in chunks of
+    ``HISTORY_CHUNK_ROWS`` lines.
+
+    The bytes are those ``json.dumps`` gives for each record, at a fraction
+    of its cost: times by ``float.__repr__``, and the street the device is on
+    when the event fires (:func:`engine.event_streets`).
+    """
+    times, codes = state.event_times, state.event_codes
+    streets = event_streets(state)
+    number = float.__repr__
+    for start in range(0, len(times), HISTORY_CHUNK_ROWS):
+        stop = start + HISTORY_CHUNK_ROWS
+        fh.writelines(
+            f'{{"t": {number(t)}, "kind": {_KIND_NUMBER[code & 1]}, "device": {code >> 1}, '
+            f'"street": {street}}}\n'
+            for t, code, street in zip(times[start:stop].tolist(), codes[start:stop].tolist(),
+                                       streets[start:stop].tolist()))
+    for kind in (EventKind.FINISH, EventKind.GLOBAL_UPDATE):
+        fh.write(f'{{"t": {number(state.T)}, "kind": {int(kind)}, "device": null, "street": null}}\n')
 
 
 def _write_history(path, history) -> None:

@@ -48,7 +48,12 @@ with an :class:`Event` once per event, after the clock has moved to
 :class:`EventKind` (an int, usable as an index).  The close-out passes two
 more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
 ``None``.  The hook is read once, when ``run`` starts; without one no
-:class:`Event` is built.
+:class:`Event` is built.  The hook is for callers that watch the state as
+events fire (tests, the benchmark's event counter).  A trace of the events
+needs no hook: the schedule already holds every event's time, kind and
+device, and :func:`event_streets` gives the street each one fires on, so
+``streetsim run`` writes its trace files from those, in a process of its
+own, while the loop runs.
 
 Every maximal same-street contact interval is logged to ``state.history``,
 the single record of contacts: a :class:`ContactHistory`, one flat
@@ -91,6 +96,7 @@ __all__ = [
     "merge_reversal_interval",
     "MAX_EVENTS",
     "initialize",
+    "event_streets",
     "run",
     "derived_connection_graph",
 ]
@@ -356,8 +362,9 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
     """Times and codes of every event of the moving ``devices`` up to T, in
     firing order.
 
-    Each device travels its current route, then the two routes
-    ``Device.routes_ahead`` names, alternately.  A leg's time step is its
+    Each device travels the routes of :func:`_route_table`: its current
+    route, then the two routes ``Device.routes_ahead`` names, alternately,
+    leg by leg as :func:`_nth_leg` counts them.  A leg's time step is its
     metres over the velocity: (1 - p) * length to leave a route's first
     street, each interior street's length, end_p * length into its last
     street, or (end_p - p) * length on a one-street route.  A device's
@@ -366,21 +373,12 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
     anything event-sized is allocated when the events would be more than
     :data:`MAX_EVENTS`.
     """
-    routes = []  # three per device: (streets, p, end_p)
-    for d in devices:
-        path = d.path
-        routes.append((path.streets[d.leg:], d.pos.p, path.end.p))
-        routes.extend(d.routes_ahead())
-    if not routes:
+    if not devices:
         return np.empty(0), np.empty(0, dtype=np.intc)
-    streets, p, end_p = zip(*routes)
-    n_legs = np.fromiter(map(len, streets), dtype=np.intp, count=len(routes))
+    street_ids, n_legs, first, p, end_p = _route_table(devices)
     arr = graph.street_arrays()
-    street_ids = np.fromiter(chain.from_iterable(streets), dtype=np.intp, count=int(n_legs.sum()))
     metres = arr.length[np.searchsorted(arr.ids, street_ids)]
-    last = np.cumsum(n_legs) - 1
-    first = last - (n_legs - 1)
-    p, end_p = np.array(p, dtype=float), np.array(end_p, dtype=float)
+    last = first + (n_legs - 1)
     first_length, last_length = metres[first], metres[last]
     metres[first] = (1.0 - p) * first_length
     metres[last] = end_p * last_length
@@ -433,8 +431,7 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
         segment = max(_BLOCK_CELLS // len(rows), 1)
         for j0 in range(0, row_width, segment):
             j = np.arange(j0, min(j0 + segment, row_width))
-            legs = np.where(j < n_first[rows], first_leg[rows] + j,
-                            cycle_leg[rows] + (j - n_first[rows]) % n_cycle[rows])
+            legs = _nth_leg(j, n_first[rows], first_leg[rows], cycle_leg[rows], n_cycle[rows])
             t = steps[legs]
             t[:, :1] += carry
             np.add.accumulate(t, axis=1, out=t)
@@ -452,6 +449,67 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
 
     times = np.ndarray(n, np.float64, buffer=times.base)
     return times, _firing_order(times, codes[:n])
+
+
+def _route_table(devices: list[Device]) -> tuple[np.ndarray, ...]:
+    """The legs of the routes the moving ``devices`` travel, three routes a
+    device: its current route from its current leg, then the two routes
+    ``Device.routes_ahead`` names, which it travels alternately from then on.
+
+    Returns every leg's street id, route by route, and per route its number
+    of legs, the index of its first leg, its start p and its end p.
+    """
+    routes = []  # three per device: (streets, p, end_p)
+    for d in devices:
+        path = d.path
+        routes.append((path.streets[d.leg:], d.pos.p, path.end.p))
+        routes.extend(d.routes_ahead())
+    streets, p, end_p = zip(*routes)
+    n_legs = np.fromiter(map(len, streets), dtype=np.intp, count=len(routes))
+    street_ids = np.fromiter(chain.from_iterable(streets), dtype=np.intp, count=int(n_legs.sum()))
+    first = np.cumsum(n_legs) - n_legs
+    return street_ids, n_legs, first, np.array(p, dtype=float), np.array(end_p, dtype=float)
+
+
+def _nth_leg(j: np.ndarray, n_first, first_leg, cycle_leg, n_cycle) -> np.ndarray:
+    """The route-table index of a device's leg number j (from 0): the first
+    route's ``n_first`` legs from ``first_leg``, then the ``n_cycle`` legs of
+    the two alternating routes from ``cycle_leg``, round and round."""
+    return np.where(j < n_first, first_leg + j, cycle_leg + (j - n_first) % n_cycle)
+
+
+def event_streets(state: SimulationState) -> np.ndarray:
+    """The street of every event of ``state``'s schedule, in firing order.
+
+    It is the street ``state.devices[dev].pos.street`` names when the event
+    fires: the street on which the event's leg ends.  A device's events fire
+    in its own order, so its k-th event ends its k-th leg along the route
+    table :func:`_schedule` walks.  Nothing is kept per event until this is
+    called, and it must be called before :func:`run`, which takes the
+    schedule and moves the devices.
+    """
+    codes = state.event_codes
+    streets = np.empty(len(codes), dtype=np.intp)
+    if not len(codes):
+        return streets
+    moving = [d for d in state.devices.values() if d.moving]
+    street_ids, n_legs, first, _, _ = _route_table(moving)
+    n_first, n_cycle = n_legs[0::3], n_legs[1::3] + n_legs[2::3]
+    first_leg, cycle_leg = first[0::3], first[1::3]
+    ids = np.array([d.id for d in moving], dtype=np.intc)
+    by_id = np.argsort(ids)
+    fired = np.zeros(len(moving), dtype=np.intp)  # events of each device so far
+    for start in range(0, len(codes), _BLOCK_CELLS):
+        row = by_id[np.searchsorted(ids, codes[start:start + _BLOCK_CELLS] >> 1, sorter=by_id)]
+        # each event's number among its device's events in this block
+        order = np.argsort(row, kind="stable")
+        grouped = row[order]
+        j = np.empty_like(row)
+        j[order] = np.arange(len(row)) - np.searchsorted(grouped, grouped) + fired[grouped]
+        fired += np.bincount(row, minlength=len(moving))
+        streets[start:start + len(row)] = street_ids[
+            _nth_leg(j, n_first[row], first_leg[row], cycle_leg[row], n_cycle[row])]
+    return streets
 
 
 def _firing_order(times: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -657,6 +715,9 @@ def run(state: SimulationState) -> ConnectionGraph:
     r = state.r
     log = state.history.extend
     trace = state.trace
+    # builds a StreetPosition from a tuple of its fields without the call
+    # through the named tuple's own __new__
+    position = tuple.__new__
     times, codes = state.event_times, state.event_codes
     state.event_times, state.event_codes = np.empty(0), np.empty(0, dtype=np.intc)
     for start in range(0, len(times), _CHUNK):
@@ -695,7 +756,7 @@ def run(state: SimulationState) -> ConnectionGraph:
             street = edges[eid]
             length = street.length
             u = street.u
-            d.pos = StreetPosition(eid, crossing, street.v if crossing == u else u, 0.0)
+            d.pos = position(StreetPosition, (eid, crossing, street.v if crossing == u else u, 0.0))
             d.time_of_pos = t
             d.street_length = length
             members = occupancy[eid]
@@ -722,7 +783,7 @@ def run(state: SimulationState) -> ConnectionGraph:
                             p_t = 1.0
                         if p_t != p:
                             p = p_t
-                            o.pos = StreetPosition(sid, v1, v2, p)
+                            o.pos = position(StreetPosition, (sid, v1, v2, p))
                         m_o = o.velocity if v1 == u else -o.velocity
                     else:
                         m_o = 0.0

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -56,3 +57,30 @@ def single_street_graph():
 
 def sp(g, eid, v1, v2, p):
     return StreetPosition(eid, v1, v2, p)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes this process forks, recorded by a wrapper
+    around ``os.fork`` (processes forked from them record into their own copy)."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    """True once the child ``pid`` has been waited for: ``waitpid`` no
+    longer knows it.  (A child still there is reaped by this call.)"""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -304,15 +304,21 @@ class TestRun:
         assert err.startswith("runtime invariant breach: device 7 would fire")
         assert "MAX_EVENTS = 10,000,000" in err
 
-    def test_trace_file_closed_on_runtime_breach(self, tmp_path, monkeypatch):
+    def test_trace_file_closed_on_runtime_breach(self, tmp_path, monkeypatch, forks):
         # the sweep's simulation fails at its first turn-around: exit 3, and
-        # the trace file it was writing is closed and holds the events that
-        # fired before the failure
+        # the trace file, written from the schedule by a writer process, is
+        # closed, holds every scheduled event as an unbroken run's does, and
+        # its writer has been reaped
         import streetsim.analysis as analysis
         import streetsim.cli as cli
         from streetsim.engine import EventKind, run
         from streetsim.mobility import RuntimeInvariantError
 
+        from conftest import reaped
+
+        cfg = base_config(seeds=[1], outputs={"csv_path": "out.csv", "trace": True})
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "plain")]) == 0
         opened = []
 
         def recording_open(*args, **kwargs):
@@ -320,26 +326,23 @@ class TestRun:
             opened.append(fh)
             return fh
 
+        def breach(ev, st):
+            if ev.kind == EventKind.REACH_DESTINATION:
+                raise RuntimeInvariantError("synthetic mid-run breach")
+
         def failing_run(state):
-            write_line = state.trace
-
-            def trace(ev, st):
-                write_line(ev, st)
-                if ev.kind == EventKind.REACH_DESTINATION:
-                    raise RuntimeInvariantError("synthetic mid-run breach")
-
-            state.trace = trace
+            state.trace = breach
             return run(state)
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
         monkeypatch.setattr(analysis, "run", failing_run)
-        cfg = base_config(seeds=[1], outputs={"csv_path": "out.csv", "trace": True})
         out = tmp_path / "out"
-        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        assert main(["run", path, "--out", str(out)]) == 3
         traces = [fh for fh in opened if fh.name.endswith("trace-seed1.jsonl")]
         assert len(traces) == 1 and traces[0].closed
-        lines = (out / "trace-seed1.jsonl").read_text().splitlines()
-        assert lines and json.loads(lines[-1])["kind"] == int(EventKind.REACH_DESTINATION)
+        assert (out / "trace-seed1.jsonl").read_bytes() == \
+            (tmp_path / "plain" / "trace-seed1.jsonl").read_bytes()
+        assert len(forks) == 2 and all(map(reaped, forks))
 
 
 class TestSideOutputs:
