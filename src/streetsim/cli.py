@@ -26,7 +26,6 @@ import dataclasses
 import gc
 import math
 import os
-import signal
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -41,7 +40,8 @@ from .analysis import (
     write_sweep_csv,
 )
 from .config import ConfigError, ExperimentConfig, build_geometry, load_config, validate_config
-from .engine import EventKind, event_streets
+from .engine import EventKind
+from .forking import forked
 from .mobility import RuntimeInvariantError
 from .streets import DegenerateTessellation, StreetGraph
 
@@ -53,7 +53,7 @@ EXIT_RUNTIME = 3
 # history or trace is never held in memory all at once
 HISTORY_CHUNK_ROWS = 8192
 
-# a trace line's kind, by the low bit of the event's code
+# a trace line's kind, by whether the event's leg ends at the destination
 _KIND_NUMBER = (int(EventKind.REACH_CROSSING), int(EventKind.REACH_DESTINATION))
 
 
@@ -88,59 +88,32 @@ def _emit_side_outputs(cfg: ExperimentConfig, out_dir: FsPath, seed: int, state)
     """Context the sweep runs one seed's ``state`` in, writing its trace and history.
 
     The trace is a function of the schedule ``initialize`` made, so a
-    process forked on entry writes it while the event loop runs in this one;
-    the file is opened here first, so a path that cannot be written raises
-    before anything is forked.  The writer is reaped on every way out: after
-    it finishes when the run ends or fails, killed first when the run is
-    interrupted.  A writer that fails raises :class:`OSError` naming the
-    file.  The sorted history is written on a clean exit.
+    process forked on entry (:func:`forking.forked`) writes it while the
+    event loop runs in this one; the file is opened here first, so a path
+    that cannot be written raises before anything is forked.  The writer is
+    reaped on every way out: after it finishes when the run ends or fails,
+    killed first when the run is interrupted.  A writer that fails raises
+    :class:`OSError` naming the file.  The sorted history is written on a
+    clean exit.
     """
-    writer = None
     if cfg.outputs.trace:
         trace_path = out_dir / f"trace-seed{seed}.jsonl"
-        with open(trace_path, "w") as fh:
-            writer = _fork_trace_writer(fh, state)
-    if writer is not None:
-        try:
+        with open(trace_path, "w") as fh, forked(partial(_write_trace_file, fh, state)) as writer:
+            fh.close()
             yield
-        except BaseException as exc:
-            if not isinstance(exc, Exception):
-                os.kill(writer, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(writer, 0)[1])
-        if status != 0:
-            raise OSError(f"cannot write {trace_path}: the trace writer exited with status {status}")
+        if writer is not None and writer.status != 0:
+            raise OSError(f"cannot write {trace_path}: the trace writer exited with status "
+                          f"{writer.status}")
     else:
         yield
     if cfg.outputs.history:
         _write_history(out_dir / f"history-seed{seed}.csv", state.history)
 
 
-def _fork_trace_writer(fh, state) -> int | None:
-    """Fork a process that writes ``state``'s trace to ``fh`` and exits, and
-    return its pid; where no process can be forked, write the trace here and
-    return None.
-
-    The writer leaves only through ``os._exit``, with status 0 once the file
-    is written and closed and 1 on any exception, so it never runs the rest
-    of the sweep, nor flushes this process's buffers or exit handlers.
-    """
-    try:
-        pid = os.fork()
-    except OSError:
+def _write_trace_file(fh, state) -> None:
+    """:func:`_write_trace` to ``fh``, then close it."""
+    with fh:
         _write_trace(fh, state)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()  # a collection would copy the pages it touches
-            _write_trace(fh, state)
-            fh.close()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid
 
 
 def _write_trace(fh, state) -> None:
@@ -149,19 +122,21 @@ def _write_trace(fh, state) -> None:
     ``HISTORY_CHUNK_ROWS`` lines.
 
     The bytes are those ``json.dumps`` gives for each record, at a fraction
-    of its cost: times by ``float.__repr__``, and the street the device is on
-    when the event fires (:func:`engine.event_streets`).
+    of its cost: times by ``float.__repr__``, and the device, kind and
+    street (the street the device is on when the event fires) of the
+    route-table leg the event ends.
     """
-    times, codes = state.event_times, state.event_codes
-    streets = event_streets(state)
+    times, legs, routes = state.event_times, state.event_legs, state.routes
     number = float.__repr__
     for start in range(0, len(times), HISTORY_CHUNK_ROWS):
         stop = start + HISTORY_CHUNK_ROWS
+        leg = legs[start:stop]
         fh.writelines(
-            f'{{"t": {number(t)}, "kind": {_KIND_NUMBER[code & 1]}, "device": {code >> 1}, '
+            f'{{"t": {number(t)}, "kind": {_KIND_NUMBER[turns]}, "device": {device}, '
             f'"street": {street}}}\n'
-            for t, code, street in zip(times[start:stop].tolist(), codes[start:stop].tolist(),
-                                       streets[start:stop].tolist()))
+            for t, turns, device, street in zip(
+                times[start:stop].tolist(), routes.destination[leg].tolist(),
+                routes.device[leg].tolist(), routes.street[leg].tolist()))
     for kind in (EventKind.FINISH, EventKind.GLOBAL_UPDATE):
         fh.write(f'{{"t": {number(state.T)}, "kind": {int(kind)}, "device": null, "street": null}}\n')
 

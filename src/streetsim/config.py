@@ -86,19 +86,39 @@ class ExperimentConfig:
         return self.torus_side_m / 2.0
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a bool, a string or anything else is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name}: {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name}: {value!r} is too large") from None
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: {value!r} is not true or false")
+    return value
+
+
 def _velocity_from_dict(d: dict):
     if not isinstance(d, dict) or len(d) != 1:
         raise ConfigError("velocity must be one of dirac/two_point/normal_plus")
     kind, params = next(iter(d.items()))
+
+    def number(key):
+        return _number(params[key], f"velocity.{kind}.{key}")
+
     try:
         if kind == "dirac":
-            return DiracVelocity(float(params["v_mps"]))
+            return DiracVelocity(number("v_mps"))
         if kind == "two_point":
-            return TwoPointVelocity(
-                float(params["v_p_mps"]), float(params["v_d_mps"]), float(params["prob_p"])
-            )
+            return TwoPointVelocity(number("v_p_mps"), number("v_d_mps"), number("prob_p"))
         if kind == "normal_plus":
-            return PositiveNormalVelocity(float(params["mean_mps"]), float(params["std_mps"]))
+            return PositiveNormalVelocity(number("mean_mps"), number("std_mps"))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad velocity parameters for '{kind}': {exc}") from exc
     raise ConfigError(f"unknown velocity kind '{kind}'")
@@ -111,31 +131,29 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("kernel must be kappa_prime{R_m} or kappa_doubleprime{L_m}")
         kind, params = next(iter(kernel_dict.items()))
         if kind == "kappa_prime":
-            kernel = KernelConfig(kind, float(params["R_m"]))
+            kernel = KernelConfig(kind, _number(params["R_m"], "kernel.kappa_prime.R_m"))
         elif kind == "kappa_doubleprime":
-            kernel = KernelConfig(kind, float(params["L_m"]))
+            kernel = KernelConfig(kind, _number(params["L_m"], "kernel.kappa_doubleprime.L_m"))
         else:
             raise ConfigError(f"unknown kernel '{kind}'")
         t_raw = data["T_s"]
-        t_list = tuple(float(t) for t in (t_raw if isinstance(t_raw, list) else [t_raw]))
+        t_list = tuple(_number(t, "T_s") for t in (t_raw if isinstance(t_raw, list) else [t_raw]))
         sweep = None
         if data.get("sweep") is not None:
             sweep = SweepConfig(
                 parameter=str(data["sweep"]["parameter"]),
-                values=tuple(float(v) for v in data["sweep"]["values"]),
+                values=tuple(_number(v, "sweep.values") for v in data["sweep"]["values"]),
             )
         out = data["outputs"]
         outputs = OutputConfig(
             csv_path=str(out["csv_path"]),
-            trace=bool(out.get("trace", False)),
-            history=bool(out.get("history", False)),
+            trace=_flag(out.get("trace", False), "outputs.trace"),
+            history=_flag(out.get("history", False), "outputs.history"),
         )
+        number = {key: _number(data[key], key) for key in (
+            "torus_side_m", "street_intensity_km_per_km2", "lambda_per_km", "r_m", "rho_s")}
         return ExperimentConfig(
-            torus_side_m=float(data["torus_side_m"]),
-            street_intensity_km_per_km2=float(data["street_intensity_km_per_km2"]),
-            lambda_per_km=float(data["lambda_per_km"]),
-            r_m=float(data["r_m"]),
-            rho_s=float(data["rho_s"]),
+            **number,
             T_s=t_list,
             kernel=kernel,
             velocity=_velocity_from_dict(data["velocity"]),
@@ -151,6 +169,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 def _seed(s) -> int:
     try:
+        if isinstance(s, bool):
+            raise TypeError
         seed = operator.index(s)
     except TypeError:
         raise ConfigError(f"seeds: {s!r} is not an integer") from None

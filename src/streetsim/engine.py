@@ -13,15 +13,42 @@ contact has lasted longer than the connection time rho.
 Contacts never feed back into motion, so each device's event times follow
 from its own commute alone, and :func:`initialize` computes them all up to
 T: the current route, then the reversed route and its reversal, alternately,
-as ``Device.turn_around`` makes them current.  Each time is the previous one
-plus the leg's ``dt`` (metres over velocity), added in order from 0.0, as a
-queue that rescheduled each device when it fired added them.  The schedule
-is two arrays in firing order, ``state.event_times`` (float64) and
-``state.event_codes`` (int32, device * 2 + 1 for a destination, + 0 for a
-crossing): 12 bytes an event and no Python object per event.  They live in
-anonymous memory maps of their own; :func:`run` takes them out of the
-state, walks them in chunks and hands each walked chunk's pages back, so the
-schedule's memory shrinks as the contact history grows.
+as ``Device.turn_around`` would make them current.  Each time is the
+previous one plus the leg's ``dt`` (metres over velocity), added in order
+from 0.0, as a queue that rescheduled each device when it fired added them.
+Those three routes a device are ``state.routes``, a :class:`RouteTable` with
+one row per leg: its device, its street, and where it ends (the crossing
+and the street entered there, or the destination and the position the
+device turns to).  The schedule is two arrays in firing order,
+``state.event_times`` (float64) and ``state.event_legs`` (int32, the row of
+the leg the event ends): 12 bytes an event and no Python object per event.
+They live in anonymous memory maps of their own; :func:`run` takes them out
+of the state, walks them in chunks and hands each walked chunk's pages
+back, so the schedule's memory shrinks as the contact history grows.  The
+loop reads each event's device, streets, crossing and new position from
+the route table, so it never reads or updates a device's ``path`` or
+``leg``: after a run they still hold the commute as it was at
+:func:`initialize`.
+
+Contacts are only ever between devices on one street, so the events that
+touch one set of streets fire apart from the rest.  :func:`run` cuts the
+streets into two strips of about equal work: ordered by the x of their
+midpoints from the torus seam, cut where the events that leave, enter or
+turn on them reach half of all such events; the seam is the other cut.  A
+forked process fires the events that touch the second strip while this one
+fires those of the first, each in firing order, so every street sees the
+same events in the same order as one loop would show it and the results are
+bitwise those of one loop.  A crossing from one strip to the other is a
+leave (settle the contacts left behind) in one part and an enter (solve the
+contacts ahead) in the other.  Each part keeps only the initial contacts on
+its own streets and closes out only its own devices and pairs; the second
+part then sends its history rows and its devices' final states through a
+pipe, and this process appends the rows and rebuilds the occupancy of the
+second strip's streets from those states.  A run fires in one part, in
+process, when a ``state.trace`` hook is set, when the schedule holds fewer
+than :data:`SPLIT_MIN_EVENTS` events, when fewer than two CPUs are usable,
+when the strips cannot both get events, or when ``os.fork`` fails.  Either
+way the same loop body (:func:`_fire`) fires the events.
 
 Events at one instant fire crossings before destinations, then by device
 id, except that an event a device reaches at the instant of its own
@@ -30,9 +57,9 @@ p = 0 and leaving again from p = 1) keeps the largest kind of that chain so
 far.  That is the order in which a heap of one pending ``(time, kind,
 device)`` per device, rescheduled as each event fired, pops them: a stable
 sort of every event by (time, kind', device), kind' the running maximum of
-kind within one device's run of equal times.  After the schedule a single
-close-out at T brings all positions to T and logs the contacts still
-running up to T.
+kind within one device's run of equal times.  After the schedule the
+close-out at T (one in each part, see above) brings all positions to T and
+logs the contacts still running up to T.
 
 A run's cost is its event count, which :func:`initialize` knows before it
 allocates the schedule: per device the current route's legs plus
@@ -50,10 +77,9 @@ more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
 ``None``.  The hook is read once, when ``run`` starts; without one no
 :class:`Event` is built.  The hook is for callers that watch the state as
 events fire (tests, the benchmark's event counter).  A trace of the events
-needs no hook: the schedule already holds every event's time, kind and
-device, and :func:`event_streets` gives the street each one fires on, so
-``streetsim run`` writes its trace files from those, in a process of its
-own, while the loop runs.
+needs no hook: the schedule and the route table already hold every event's
+time, kind, device and street, so ``streetsim run`` writes its trace files
+from those, in a process of its own, while the loop runs.
 
 Every maximal same-street contact interval is logged to ``state.history``,
 the single record of contacts: a :class:`ContactHistory`, one flat
@@ -75,14 +101,17 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import pickle
 from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from .forking import forked
 from .mobility import Device, RuntimeInvariantError, advance_to
 from .streets import Street, StreetGraph, StreetPosition, component_labels
 
@@ -95,8 +124,9 @@ __all__ = [
     "compute_contact_interval",
     "merge_reversal_interval",
     "MAX_EVENTS",
+    "SPLIT_MIN_EVENTS",
     "initialize",
-    "event_streets",
+    "RouteTable",
     "run",
     "derived_connection_graph",
 ]
@@ -114,14 +144,14 @@ class EventKind(IntEnum):
     FINISH = 6
 
 
-# an event code's low bit: 0 for a crossing, 1 for a destination
+# an event's kind, by whether its leg ends at the destination
 _KINDS = (EventKind.REACH_CROSSING, EventKind.REACH_DESTINATION)
 
 # the most events initialize schedules for one run: 26 times the largest
 # count seen on the benchmark's configs (378,228, accept1 program seed 2)
 MAX_EVENTS = 10_000_000
 
-# events run() converts to Python objects, and then releases, at a time
+# events _fire converts to Python objects, and then releases, at a time
 _CHUNK = 4096
 
 # cells (events) of the blocks in which _schedule adds up event times; a
@@ -314,6 +344,37 @@ def merge_reversal_interval(
 # -- simulation state ----------------------------------------------------------
 
 
+class RouteTable(NamedTuple):
+    """The legs the moving devices of a run travel: three routes a device
+    (see :func:`_route_table`), route after route, one row per leg.
+
+    A scheduled event is the end of one leg, and the schedule names it by
+    its row.  ``street`` is the street the leg runs on, where the event
+    fires.  A leg ends at ``crossing``, where the device enters
+    ``next_street``, or at the destination (``crossing`` is -1 and
+    ``next_street`` the leg's own street).  Route k's destination leg is row
+    ``last[k]``, where the device turns on the same street to the fraction
+    ``turn_p[k]`` between the crossings ``turn_v1[k]`` and ``turn_v2[k]``:
+    the start of the route it travels next.
+    """
+
+    device: np.ndarray  # int32
+    street: np.ndarray  # int32
+    next_street: np.ndarray  # int32
+    crossing: np.ndarray  # int32
+    destination: np.ndarray  # bool
+    last: np.ndarray  # per route
+    turn_v1: np.ndarray  # per route
+    turn_v2: np.ndarray  # per route
+    turn_p: np.ndarray  # per route
+
+    @classmethod
+    def empty(cls) -> "RouteTable":
+        none = np.empty(0, dtype=np.intc)
+        return cls(none, none, none, none, np.empty(0, dtype=bool), none, none, none,
+                   np.empty(0))
+
+
 @dataclass
 class SimulationState:
     graph: StreetGraph
@@ -322,10 +383,11 @@ class SimulationState:
     rho: float
     T: float
     time: float = 0.0
-    # the schedule, in firing order: each event's time, and its device * 2
-    # plus 1 for a destination (0 for a crossing); emptied by the close-out
+    # the schedule, in firing order: each event's time, and the row of
+    # ``routes`` whose leg it ends; emptied by run, with the routes
     event_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    event_codes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intc))
+    event_legs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intc))
+    routes: RouteTable = field(default_factory=RouteTable.empty)
     # street id -> ids of the devices on it, one set per street of the graph
     occupancy: dict[int, set[int]] = field(default_factory=dict)
     # running contacts: pair -> (c_min, c_max), c_max possibly +inf; empty after run
@@ -358,9 +420,10 @@ def _settle(state: SimulationState, pair, interval: tuple[float, float], t: floa
 # -- initialization -------------------------------------------------------------
 
 
-def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Times and codes of every event of the moving ``devices`` up to T, in
-    firing order.
+def _schedule(devices: list[Device], graph: StreetGraph,
+              T: float) -> tuple[np.ndarray, np.ndarray, RouteTable]:
+    """Times and legs of every event of the moving ``devices`` up to T, in
+    firing order, and the route table the legs are rows of.
 
     Each device travels the routes of :func:`_route_table`: its current
     route, then the two routes ``Device.routes_ahead`` names, alternately,
@@ -374,10 +437,10 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
     :data:`MAX_EVENTS`.
     """
     if not devices:
-        return np.empty(0), np.empty(0, dtype=np.intc)
-    street_ids, n_legs, first, p, end_p = _route_table(devices)
+        return np.empty(0), np.empty(0, dtype=np.intc), RouteTable.empty()
+    routes, n_legs, first, p, end_p = _route_table(devices)
     arr = graph.street_arrays()
-    metres = arr.length[np.searchsorted(arr.ids, street_ids)]
+    metres = arr.length[np.searchsorted(arr.ids, routes.street)]
     last = first + (n_legs - 1)
     first_length, last_length = metres[first], metres[last]
     metres[first] = (1.0 - p) * first_length
@@ -387,9 +450,6 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
     ids = np.array([d.id for d in devices], dtype=np.intc)
     velocity = np.array([d.velocity for d in devices], dtype=float)
     steps = metres / np.repeat(np.repeat(velocity, 3), n_legs)
-    destination = np.zeros(len(steps), dtype=np.intc)
-    destination[last] = 1
-    leg_codes = 2 * np.repeat(np.repeat(ids, 3), n_legs) + destination
 
     # the budget: the current route's legs, then at most one round trip's
     # legs more than fit between the end of that route and T
@@ -414,7 +474,7 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
     # than a round trip below MAX_EVENTS events.
     width = (np.ceil(counts) + n_cycle).astype(np.intp)
     times = _mapped(int(width.sum()), np.float64)
-    codes = _mapped(len(times), np.intc)
+    fired_legs = _mapped(len(times), np.intc)
     n = 0
     by_width = np.argsort(width, kind="stable")
     sorted_width = width[by_width].tolist()
@@ -438,7 +498,7 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
             fired = t <= T
             k = int(np.count_nonzero(fired))
             times[n:n + k] = t[fired]
-            codes[n:n + k] = leg_codes[legs[fired]]
+            fired_legs[n:n + k] = legs[fired]
             n += k
             if not fired[:, -1].any():
                 break
@@ -448,27 +508,50 @@ def _schedule(devices: list[Device], graph: StreetGraph, T: float) -> tuple[np.n
         start = stop
 
     times = np.ndarray(n, np.float64, buffer=times.base)
-    return times, _firing_order(times, codes[:n])
+    return times, _firing_order(times, fired_legs[:n], routes.device, routes.destination), routes
 
 
-def _route_table(devices: list[Device]) -> tuple[np.ndarray, ...]:
+def _route_table(devices: list[Device]) -> tuple:
     """The legs of the routes the moving ``devices`` travel, three routes a
     device: its current route from its current leg, then the two routes
     ``Device.routes_ahead`` names, which it travels alternately from then on.
 
-    Returns every leg's street id, route by route, and per route its number
-    of legs, the index of its first leg, its start p and its end p.
+    Returns the :class:`RouteTable`, and per route its number of legs, the
+    index of its first leg, its start p and its end p.  The position a
+    destination leg turns to is the start of the route that follows: the
+    second after the first, the third after the second, the second again
+    after the third.  Nothing per leg is a Python object.
     """
-    routes = []  # three per device: (streets, p, end_p)
+    routes = []  # three per device: (streets, crossings, start, end_p)
     for d in devices:
         path = d.path
-        routes.append((path.streets[d.leg:], d.pos.p, path.end.p))
+        routes.append((path.streets[d.leg:], path.crossings[d.leg:], d.pos, path.end.p))
         routes.extend(d.routes_ahead())
-    streets, p, end_p = zip(*routes)
+    streets, crossings, starts, end_p = zip(*routes)
     n_legs = np.fromiter(map(len, streets), dtype=np.intp, count=len(routes))
-    street_ids = np.fromiter(chain.from_iterable(streets), dtype=np.intp, count=int(n_legs.sum()))
+    n = int(n_legs.sum())
+    if n >= 2**31:
+        raise RuntimeInvariantError(f"the routes have {n} legs, more than an int32 numbers")
+    street = np.fromiter(chain.from_iterable(streets), dtype=np.intc, count=n)
     first = np.cumsum(n_legs) - n_legs
-    return street_ids, n_legs, first, np.array(p, dtype=float), np.array(end_p, dtype=float)
+    last = first + (n_legs - 1)
+    destination = np.zeros(n, dtype=bool)
+    destination[last] = True
+    crossing = np.full(n, -1, dtype=np.intc)
+    crossing[~destination] = np.fromiter(chain.from_iterable(crossings), dtype=np.intc,
+                                         count=n - len(routes))
+    next_street = street.copy()
+    onward = np.flatnonzero(~destination)
+    next_street[onward] = street[onward + 1]
+    ids = np.array([d.id for d in devices], dtype=np.intc)
+    start_v1, start_v2 = np.array([(s.v1, s.v2) for s in starts], dtype=np.intc).T
+    start_p = np.array([s.p for s in starts], dtype=float)
+    following = np.arange(1, len(routes) + 1)
+    following[2::3] -= 2
+    table = RouteTable(np.repeat(np.repeat(ids, 3), n_legs), street, next_street, crossing,
+                       destination, last, start_v1[following], start_v2[following],
+                       start_p[following])
+    return table, n_legs, first, start_p, np.array(end_p, dtype=float)
 
 
 def _nth_leg(j: np.ndarray, n_first, first_leg, cycle_leg, n_cycle) -> np.ndarray:
@@ -478,61 +561,30 @@ def _nth_leg(j: np.ndarray, n_first, first_leg, cycle_leg, n_cycle) -> np.ndarra
     return np.where(j < n_first, first_leg + j, cycle_leg + (j - n_first) % n_cycle)
 
 
-def event_streets(state: SimulationState) -> np.ndarray:
-    """The street of every event of ``state``'s schedule, in firing order.
-
-    It is the street ``state.devices[dev].pos.street`` names when the event
-    fires: the street on which the event's leg ends.  A device's events fire
-    in its own order, so its k-th event ends its k-th leg along the route
-    table :func:`_schedule` walks.  Nothing is kept per event until this is
-    called, and it must be called before :func:`run`, which takes the
-    schedule and moves the devices.
-    """
-    codes = state.event_codes
-    streets = np.empty(len(codes), dtype=np.intp)
-    if not len(codes):
-        return streets
-    moving = [d for d in state.devices.values() if d.moving]
-    street_ids, n_legs, first, _, _ = _route_table(moving)
-    n_first, n_cycle = n_legs[0::3], n_legs[1::3] + n_legs[2::3]
-    first_leg, cycle_leg = first[0::3], first[1::3]
-    ids = np.array([d.id for d in moving], dtype=np.intc)
-    by_id = np.argsort(ids)
-    fired = np.zeros(len(moving), dtype=np.intp)  # events of each device so far
-    for start in range(0, len(codes), _BLOCK_CELLS):
-        row = by_id[np.searchsorted(ids, codes[start:start + _BLOCK_CELLS] >> 1, sorter=by_id)]
-        # each event's number among its device's events in this block
-        order = np.argsort(row, kind="stable")
-        grouped = row[order]
-        j = np.empty_like(row)
-        j[order] = np.arange(len(row)) - np.searchsorted(grouped, grouped) + fired[grouped]
-        fired += np.bincount(row, minlength=len(moving))
-        streets[start:start + len(row)] = street_ids[
-            _nth_leg(j, n_first[row], first_leg[row], cycle_leg[row], n_cycle[row])]
-    return streets
-
-
-def _firing_order(times: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _firing_order(times: np.ndarray, legs: np.ndarray, device: np.ndarray,
+                  destination: np.ndarray) -> np.ndarray:
     """Sort the times of events given device by device in place, and return
-    their codes in firing order.
+    their legs in firing order.
 
-    Each device's events are contiguous and in order.  Events fire by
-    (time, kind', device), and a device's in order, kind' being the running
-    maximum of kind over the device's run of events at one time: the order
-    in which a heap holding each device's next event, pushed when its
-    previous one fires, pops (time, kind, device).  One unstable sort puts
-    the times in order; the events that share a time are then put in order
-    by the rest of the key.
+    Each device's events are contiguous and in order; ``device`` and
+    ``destination`` give each leg's device and kind.  Events fire by (time,
+    kind', device), and a device's in order, kind' being the running maximum
+    of kind over the device's run of events at one time: the order in which
+    a heap holding each device's next event, pushed when its previous one
+    fires, pops (time, kind, device).  One unstable sort puts the times in
+    order; the events that share a time are then put in order by the rest
+    of the key.
     """
     order = np.argsort(times)
     fired = _mapped(len(times), np.intc)
-    np.take(codes, order, out=fired)
+    np.take(legs, order, out=fired)
     times.sort()
     same = np.flatnonzero(times[1:] == times[:-1])
     if len(same):
         tied = np.union1d(same, same + 1)
         group = np.maximum.accumulate(np.where(np.isin(tied - 1, same), 0, tied))
-        _place_ties(fired, group, codes[order[tied]], order[tied])
+        leg = legs[order[tied]]
+        _place_ties(fired, group, leg, device[leg], destination[leg].astype(np.int8), order[tied])
     return fired
 
 
@@ -557,16 +609,17 @@ def _release(a: np.ndarray, start: int, stop: int) -> None:
             a.base.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
-def _place_ties(fired: np.ndarray, first: np.ndarray, code: np.ndarray, seen: np.ndarray) -> None:
-    """Write the codes of events that share a time into ``fired`` in
+def _place_ties(fired: np.ndarray, first: np.ndarray, leg: np.ndarray, device: np.ndarray,
+                kind: np.ndarray, seen: np.ndarray) -> None:
+    """Write the legs of events that share a time into ``fired`` in
     :func:`_firing_order`'s order.
 
-    ``first`` is the first place of each event's time in ``fired``, and
-    ``seen`` its place in the device-by-device order.
+    ``first`` is the first place of each event's time in ``fired``, ``kind``
+    1 for a destination and 0 for a crossing, and ``seen`` the event's place
+    in the device-by-device order.
     """
     by_seen = np.lexsort((seen, first))
-    first, code, seen = first[by_seen], code[by_seen], seen[by_seen]
-    device, kind = code >> 1, code & 1
+    first, leg, device, kind, seen = (a[by_seen] for a in (first, leg, device, kind, seen))
     # the previous event of the same device, at the same time
     chained = np.flatnonzero((seen[1:] == seen[:-1] + 1) & (device[1:] == device[:-1])
                              & (first[1:] == first[:-1])) + 1
@@ -577,7 +630,7 @@ def _place_ties(fired: np.ndarray, first: np.ndarray, code: np.ndarray, seen: np
         kind[up] = 1
     fire = np.lexsort((seen, device, kind, first))
     first = first[fire]
-    fired[first + np.arange(len(first)) - np.searchsorted(first, first)] = code[fire]
+    fired[first + np.arange(len(first)) - np.searchsorted(first, first)] = leg[fire]
 
 
 def initialize(
@@ -608,7 +661,7 @@ def initialize(
         if d.id in dev_map:
             raise ValueError(f"duplicate device id {d.id}")
         if not 0 <= d.id < 2**30:
-            raise ValueError(f"device id {d.id} outside [0, 2**30), the range of event codes")
+            raise ValueError(f"device id {d.id} outside [0, 2**30)")
         eid = d.pos.street
         d.street_length = graph.edges[eid].length
         occupancy[eid].add(d.id)
@@ -624,14 +677,14 @@ def initialize(
                 if interval is not None:
                     state.active[(di_id, dj_id)] = interval
 
-    state.event_times, state.event_codes = _schedule(
+    state.event_times, state.event_legs, state.routes = _schedule(
         [d for d in dev_map.values() if d.moving], graph, T)
     return state
 
 
 # -- handlers --------------------------------------------------------------------
 #
-# A crossing, the most frequent event, is handled inside run's loop; a
+# A crossing, the most frequent event, is handled inside _fire's loop; a
 # destination by _reach_destination.  The contact bookkeeping of entering a
 # street, advancing residents and solving contact windows, is written out
 # rather than called.  A contact that stops is settled as _settle does.
@@ -639,20 +692,20 @@ def initialize(
 # its order (history is sorted on write, graphs are frozensets).
 
 
-def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
-    """Reverse the traveled path and update contacts for the changed motion.
+def _reach_destination(state: SimulationState, d: Device, t: float, pos: StreetPosition) -> None:
+    """Turn the device to ``pos``, the start of its reversed route on the
+    same street, and update contacts for the changed motion.
 
     Per co-resident this is ``_solve_window`` on ``_relative_line`` and
     ``merge_reversal_interval``, written out with the same float operations;
     the turning device's line is referenced to t, where its m*(t - t) term
     adds 0.0.
     """
-    eid = d.path.streets[d.leg]
+    eid = pos.street
     street = state.graph.edges[eid]
     length = street.length
     u = street.u
-    d.leg = 0
-    d.pos = pos = d.turn_around().start
+    d.pos = pos
     d.time_of_pos = t
     did = d.id
     v = d.velocity
@@ -698,15 +751,26 @@ def _reach_destination(state: SimulationState, d: Device, t: float) -> None:
             active[pair] = (max(lo, t), hi)
 
 
-def run(state: SimulationState) -> ConnectionGraph:
-    """Fire every scheduled event, close out at T and return the
-    connection graph at (T, rho), read from the history.
+# What a part does with an event, by the leg the event ends: settle the
+# contacts on the street the device leaves, solve them on the street it
+# enters, both, or turn it at its destination; 0 is another part's event.
+_LEAVE, _ENTER, _CROSS, _TURN = 1, 2, 3, 4
 
-    The run takes the schedule out of the state, which holds an empty one
-    from then on, and hands each chunk's pages back once it has fired.  The
-    close-out brings every device to T, logs every contact still running up
-    to T and empties ``state.active``.  Identical inputs (same sampled
-    geometry, devices and parameters) produce a bitwise-identical result.
+# the fewest scheduled events for which run splits the loop in two parts
+SPLIT_MIN_EVENTS = 1 << 14
+
+# bytes of history rows read from the second part's pipe at a time
+_PIPE_CHUNK = 1 << 18
+
+
+def _fire(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: RouteTable,
+          action: np.ndarray) -> None:
+    """Fire, in order, the scheduled events ``action`` gives this part.
+
+    ``action`` holds, per leg of ``routes``, what this part does with the
+    event that ends the leg (``_LEAVE`` and so on).  Each event's device,
+    streets and crossing come from the route table.  The schedule is walked
+    in chunks, and each chunk's pages are handed back once it has fired.
     """
     devices = state.devices
     occupancy = state.occupancy
@@ -718,41 +782,47 @@ def run(state: SimulationState) -> ConnectionGraph:
     # builds a StreetPosition from a tuple of its fields without the call
     # through the named tuple's own __new__
     position = tuple.__new__
-    times, codes = state.event_times, state.event_codes
-    state.event_times, state.event_codes = np.empty(0), np.empty(0, dtype=np.intc)
     for start in range(0, len(times), _CHUNK):
         stop = start + _CHUNK
-        for t, code in zip(times[start:stop].tolist(), codes[start:stop].tolist()):
-            did = code >> 1
+        legs_here = legs[start:stop]
+        acts = action[legs_here]
+        mine = np.flatnonzero(acts)
+        legs_here, acts = legs_here[mine], acts[mine]
+        # the positions the chunk's destinations turn to, in firing order
+        turning = legs_here[acts == _TURN]
+        route = np.searchsorted(routes.last, turning)
+        turns = map(position, repeat(StreetPosition), zip(
+            routes.street[turning].tolist(), routes.turn_v1[route].tolist(),
+            routes.turn_v2[route].tolist(), routes.turn_p[route].tolist()))
+        for t, act, did, left, eid, crossing in zip(
+                times[start:stop][mine].tolist(), acts.tolist(), routes.device[legs_here].tolist(),
+                routes.street[legs_here].tolist(), routes.next_street[legs_here].tolist(),
+                routes.crossing[legs_here].tolist()):
             state.time = t
             if trace is not None:
-                trace(Event(t, _KINDS[code & 1], did), state)
+                trace(Event(t, _KINDS[act == _TURN], did), state)
             d = devices[did]
-            if code & 1:
-                _reach_destination(state, d, t)
+            if act == _TURN:
+                _reach_destination(state, d, t, next(turns))
                 continue
 
-            # a crossing: leave, settling contacts with everyone left behind
-            path = d.path
-            streets = path.streets
-            leg = d.leg
-            members = occupancy[streets[leg]]
-            members.discard(did)
-            for oid in members:
-                pair = (did, oid) if did < oid else (oid, did)
-                interval = active.pop(pair, None)
-                if interval is not None:
-                    c_min, c_max = interval
-                    w = t if t < c_max else c_max  # min(c_max, t)
-                    if w > c_min:
-                        log((pair[0], pair[1], c_min, w))
+            if act & _LEAVE:
+                # settle the contacts with everyone left behind
+                members = occupancy[left]
+                members.discard(did)
+                for oid in members:
+                    pair = (did, oid) if did < oid else (oid, did)
+                    interval = active.pop(pair, None)
+                    if interval is not None:
+                        c_min, c_max = interval
+                        w = t if t < c_max else c_max  # min(c_max, t)
+                        if w > c_min:
+                            log((pair[0], pair[1], c_min, w))
+            if not act & _ENTER:
+                continue
 
             # enter the next street at p = 0, moving from the crossing
             # towards the street's other end
-            crossing = path.crossings[leg]
-            leg += 1
-            d.leg = leg
-            eid = streets[leg]
             street = edges[eid]
             length = street.length
             u = street.u
@@ -806,18 +876,181 @@ def run(state: SimulationState) -> ConnectionGraph:
                         active[pair] = (t, math.inf)
             members.add(did)
         _release(times, start, stop)
-        _release(codes, start, stop)
+        _release(legs, start, stop)
+
+
+def _run_part(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: RouteTable,
+              streets, action: np.ndarray) -> list[int]:
+    """Run the part of the loop that owns ``streets`` and close it out at T.
+
+    The part keeps only the initial contacts on its own streets, fires its
+    events, brings the devices on its streets to T and settles its running
+    contacts up to T.  Returns the ids of those devices, in order.
+    """
+    own = set(streets)
+    devices = state.devices
+    state.active = {pair: interval for pair, interval in state.active.items()
+                    if devices[pair[0]].pos.street in own}
+    _fire(state, times, legs, routes, action)
     state.time = T = state.T
-    if trace is not None:
-        trace(Event(T, EventKind.FINISH), state)
-        trace(Event(T, EventKind.GLOBAL_UPDATE), state)
-    del times, codes
-    for did in sorted(devices):
+    if state.trace is not None:
+        state.trace(Event(T, EventKind.FINISH), state)
+        state.trace(Event(T, EventKind.GLOBAL_UPDATE), state)
+    ids = sorted(chain.from_iterable(state.occupancy[eid] for eid in own))
+    for did in ids:
         advance_to(devices[did], T)
+    active = state.active
     for pair in sorted(active):
         _settle(state, pair, active[pair], T)
     active.clear()
-    return derived_connection_graph(state, T, state.rho)
+    return ids
+
+
+def _strips(graph: StreetGraph, legs: np.ndarray,
+            routes: RouteTable) -> list[tuple[list[int], np.ndarray]] | None:
+    """Two parts of the loop, each the streets of one strip of the torus and
+    its action per leg (see ``_LEAVE``), or None when one part would fire no
+    event.
+
+    The streets are ordered by the x of their midpoints from the torus seam,
+    and cut where the events that leave, enter or turn on them reach half
+    of all such events (at the nearer of the two streets around the half):
+    the seam and that cut bound the strips.  A crossing between the strips
+    is a leave in one part and an enter in the other.
+    """
+    arr = graph.street_arrays()
+    row = np.searchsorted(arr.ids, routes.street)
+    next_row = np.searchsorted(arr.ids, routes.next_street)
+    fired = np.bincount(legs, minlength=len(row))
+    onward = ~routes.destination
+    work = (np.bincount(row, fired, minlength=len(arr.ids))
+            + np.bincount(next_row[onward], fired[onward], minlength=len(arr.ids)))
+    by_x = np.argsort(np.mod(arr.ux + 0.5 * arr.dx + graph.L, 2.0 * graph.L), kind="stable")
+    total = np.cumsum(work[by_x])
+    half = 0.5 * total[-1]
+    cut = int(np.searchsorted(total, half))
+    if cut > 0 and half - total[cut - 1] < total[cut] - half:
+        cut -= 1
+    if not 0.0 < total[cut] < total[-1]:
+        return None
+    west = np.zeros(len(arr.ids), dtype=bool)
+    west[by_x[:cut + 1]] = True
+    parts = []
+    for side in (west, ~west):
+        leave, enter = side[row], side[next_row]
+        action = np.where(routes.destination, _TURN * leave, _LEAVE * leave + _ENTER * enter)
+        parts.append((arr.ids[side].tolist(), action.astype(np.int8)))
+    return parts
+
+
+def _split(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: RouteTable,
+           parts) -> bool:
+    """Run the two ``parts`` of the loop, the second in a forked process,
+    and return True; where no process can be forked, run nothing and
+    return False.
+
+    The second part sends through a pipe what it made: any exception it
+    raised, or else its devices' states at T and its history rows, which
+    this process appends chunk by chunk before it rebuilds the occupancy of
+    that part's streets from those states.
+    """
+    (west, west_action), (east, east_action) = parts
+    history = state.history
+    logged = len(history.data)
+    read_end, write_end = os.pipe()
+
+    def second_part():
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            try:
+                devices = state.devices
+                ids = _run_part(state, times, legs, routes, east, east_action)
+                sent = (None, [(did, devices[did].pos, devices[did].time_of_pos,
+                                devices[did].street_length) for did in ids],
+                        len(history.data) - logged)
+            except Exception as exc:
+                sent = (exc, [], 0)
+            header = pickle.dumps(sent)
+            pipe.write(len(header).to_bytes(8, "little"))
+            pipe.write(header)
+            pipe.write(memoryview(history.data)[logged:])
+
+    def close_pipe():
+        os.close(read_end)
+        os.close(write_end)
+
+    with forked(second_part, close_pipe) as child:
+        if child is None:
+            return False
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            _run_part(state, times, legs, routes, west, west_action)
+            received = _receive(state, pipe, east)
+    if not received:
+        raise RuntimeInvariantError(
+            f"the event loop's second part exited with status {child.status} before it sent "
+            f"its result")
+    return True
+
+
+def _receive(state: SimulationState, pipe, streets: list[int]) -> bool:
+    """Take in what the second part sent through ``pipe``: raise its
+    exception, or set its devices' states, rebuild its streets' occupancy
+    and append its history rows.  False when the pipe ends early."""
+    size = int.from_bytes(pipe.read(8), "little")
+    header = pipe.read(size)
+    if not size or len(header) != size:
+        return False
+    exc, finals, n_values = pickle.loads(header)
+    if exc is not None:
+        raise exc
+    devices, occupancy = state.devices, state.occupancy
+    for eid in streets:
+        occupancy[eid].clear()
+    for did, pos, time_of_pos, street_length in finals:
+        d = devices[did]
+        d.pos, d.time_of_pos, d.street_length = pos, time_of_pos, street_length
+        occupancy[pos.street].add(did)
+    data = state.history.data
+    left = n_values * data.itemsize
+    while left:
+        n = min(left, _PIPE_CHUNK)
+        chunk = pipe.read(n)
+        if len(chunk) != n:
+            return False
+        data.frombytes(chunk)
+        left -= n
+    return True
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run(state: SimulationState) -> ConnectionGraph:
+    """Fire every scheduled event, close out at T and return the
+    connection graph at (T, rho), read from the history.
+
+    The run takes the schedule and the route table out of the state, which
+    holds empty ones from then on.  The close-out brings every device to T,
+    logs every contact still running up to T and empties ``state.active``.
+    Identical inputs (same sampled geometry, devices and parameters)
+    produce a bitwise-identical result, in one part or in two.
+    """
+    times, legs, routes = state.event_times, state.event_legs, state.routes
+    state.event_times, state.event_legs = np.empty(0), np.empty(0, dtype=np.intc)
+    state.routes = RouteTable.empty()
+    parts = None
+    if state.trace is None and len(legs) >= SPLIT_MIN_EVENTS and _usable_cpus() >= 2:
+        parts = _strips(state.graph, legs, routes)
+    if parts is None or not _split(state, times, legs, routes, parts):
+        whole = np.where(routes.destination, _TURN, _CROSS).astype(np.int8)
+        _run_part(state, times, legs, routes, state.occupancy, whole)
+    del times, legs, routes, parts
+    return derived_connection_graph(state, state.T, state.rho)
 
 
 # -- contact history -------------------------------------------------------------

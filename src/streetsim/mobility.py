@@ -135,18 +135,23 @@ class Device:
 
     def routes_ahead(self) -> tuple[tuple, tuple]:
         """The next two routes :meth:`turn_around` makes current, after which
-        the device alternates between them, as ``(streets, start p, end p)``.
+        the device alternates between them, as ``(streets, crossings, start,
+        end p)``.
 
-        Nothing is built: the fractions are flipped as :meth:`Path.reverse`
-        flips them.
+        No path is built: the start positions are flipped as
+        :meth:`Path.reverse` flips them, so each is bitwise the ``start`` of
+        the path that turn makes current.
         """
         path = self._path
         rev = self._reversed
         if rev is not None:
-            return ((rev.streets, rev.start.p, rev.end.p),
-                    (path.streets, path.start.p, path.end.p))
-        back = (path.streets[::-1], 1.0 - path.end.p, 1.0 - path.start.p)
-        return back, (path.streets, 1.0 - back[2], 1.0 - back[1])
+            return ((rev.streets, rev.crossings, rev.start, rev.end.p),
+                    (path.streets, path.crossings, path.start, path.end.p))
+        start, end = path.start, path.end
+        back = (path.streets[::-1], path.crossings[::-1], end.flipped(), 1.0 - start.p)
+        return back, (path.streets, path.crossings,
+                      StreetPosition(start.street, start.v1, start.v2, 1.0 - back[3]),
+                      1.0 - back[2].p)
 
     def clone(self) -> "Device":
         twin = Device(

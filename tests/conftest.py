@@ -1,9 +1,11 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from streetsim.forking import forked
 from streetsim.mobility import Device, shortest_path, street_coords
 from streetsim.streets import Street, StreetGraph, StreetPosition
 from streetsim.torus import TorusPoint, min_image_delta
@@ -59,21 +61,46 @@ def sp(g, eid, v1, v2, p):
     return StreetPosition(eid, v1, v2, p)
 
 
+class Forks(list):
+    """The pids of forked processes, in fork order, and what each was forked
+    for: the name of the function ``forking.forked`` ran in it
+    (``_write_trace_file`` for a trace writer, ``second_part`` for the event
+    loop's second part), or None for a fork made elsewhere (a pool worker)."""
+
+    def __init__(self):
+        super().__init__()
+        self.purpose = {}
+
+    def of(self, purpose: str) -> list[int]:
+        return [pid for pid in self if self.purpose[pid] == purpose]
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the processes this process forks, recorded by a wrapper
     around ``os.fork`` (processes forked from them record into their own copy)."""
-    pids = []
+    pids = Forks()
     fork = os.fork
 
     def recording_fork():
+        caller = sys._getframe(1)
+        work = caller.f_locals.get("work") if caller.f_code is forked.__wrapped__.__code__ else None
         pid = fork()
         if pid:
             pids.append(pid)
+            pids.purpose[pid] = getattr(work, "func", work).__name__ if work else None
         return pid
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left(forks):
+    """Fail a test that leaves a process it forked unreaped."""
+    yield
+    left = [pid for pid in forks if not reaped(pid)]
+    assert not left, f"forked children left unreaped: {left}"
 
 
 def reaped(pid: int) -> bool:

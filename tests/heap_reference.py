@@ -48,5 +48,7 @@ def replayed_events(d, graph, T: float) -> list[tuple[float, EventKind]]:
 
 def scheduled(state) -> list[tuple]:
     """A state's schedule as ``(time, kind, device)``, in firing order."""
-    return [(t, KINDS[code & 1], code >> 1)
-            for t, code in zip(state.event_times.tolist(), state.event_codes.tolist())]
+    routes, legs = state.routes, state.event_legs
+    return [(t, KINDS[turns], device) for t, turns, device in zip(
+        state.event_times.tolist(), routes.destination[legs].tolist(),
+        routes.device[legs].tolist())]

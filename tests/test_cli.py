@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -86,6 +87,32 @@ class TestConfigInput:
         assert main(["validate", path]) == 2
         assert "not an integer" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"outputs": {"csv_path": "out.csv", "trace": "false"}}, "outputs.trace"),
+        ({"outputs": {"csv_path": "out.csv", "history": 1}}, "outputs.history"),
+        ({"seeds": [True]}, "seeds"),
+        ({"r_m": True}, "r_m"),
+        ({"torus_side_m": "1500"}, "torus_side_m"),
+        ({"T_s": ["180"]}, "T_s"),
+        ({"sweep": {"parameter": "velocity_scale", "values": [1.0, False]}}, "sweep.values"),
+        ({"kernel": {"kappa_prime": {"R_m": "120"}}}, "kernel.kappa_prime.R_m"),
+        ({"velocity": {"two_point": {"v_p_mps": 1.0, "v_d_mps": "6", "prob_p": 0.5}}},
+         "velocity.two_point.v_d_mps"),
+        ({"lambda_per_km": 10**400}, "lambda_per_km"),
+    ], ids=["trace-string", "history-int", "seed-bool", "r_m-bool", "torus-string",
+            "T_s-string", "sweep-bool", "kernel-string", "velocity-string", "lambda-overflow"])
+    def test_json_types_are_not_coerced(self, tmp_path, capsys, overrides, field):
+        # a bool is not a number, a string is neither, and a number is not a
+        # flag: bool("false") would turn the trace on
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: "):
+            parse_config(base_config(**overrides))
+        path = write_config(tmp_path, base_config(**overrides))
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {field}: ") == 2 and "Traceback" not in err
+        assert not (tmp_path / "out" / "out.csv").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="negative"):

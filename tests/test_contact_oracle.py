@@ -137,7 +137,7 @@ def test_schedule_is_the_replay_merged_by_a_heap(case):
     g, devices, T = case
     state = initialize(g, [d.clone() for d in devices], r=R, rho=RHO, T=T)
     replay = {d.id: replayed_events(d, g, T) for d in devices}
-    counts = np.bincount(state.event_codes >> 1, minlength=len(devices))
+    counts = np.bincount(state.routes.device[state.event_legs], minlength=len(devices))
     assert counts.tolist() == [len(replay[d.id]) for d in devices]
     assert scheduled(state) == heap_merge(replay)
 

@@ -179,7 +179,7 @@ class TestQueueAndInit:
 
     @pytest.mark.parametrize("did", [-1, 2**30])
     def test_rejects_device_ids_outside_the_event_codes(self, did, single_street_graph):
-        # an event code is the device id * 2 plus the kind, in an int32
+        # ids must fit the int32 device column of the route table, with room
         d = make_device(did, single_street_graph, StreetPosition(0, 0, 1, 0.0),
                         StreetPosition(0, 0, 1, 1.0), 1.0)
         with pytest.raises(ValueError, match="outside"):
@@ -249,7 +249,9 @@ class TestSchedule:
         times = np.array([t for did in order for t, _ in sequences[did]], dtype=float)
         codes = np.array([2 * did + (kind == EventKind.REACH_DESTINATION)
                           for did in order for _, kind in sequences[did]], dtype=np.intc)
-        fired = engine._firing_order(times, codes)
+        # each event ends a leg of its own
+        legs = np.arange(len(codes), dtype=np.intc)
+        fired = codes[engine._firing_order(times, legs, codes >> 1, (codes & 1).astype(bool))]
         assert [(t, KINDS[c & 1], c >> 1) for t, c in zip(times.tolist(), fired.tolist())] \
             == heap_merge(sequences)
 
@@ -319,7 +321,7 @@ class TestEventBudget:
             initialize(g, [d.clone() for d in devices], r=5.0, rho=1.0, T=300.0)
         monkeypatch.setattr(engine, "MAX_EVENTS", 37)
         state = initialize(g, [d.clone() for d in devices], r=5.0, rho=1.0, T=300.0)
-        assert np.bincount(state.event_codes >> 1).tolist() == [3, 30]
+        assert np.bincount(state.routes.device[state.event_legs]).tolist() == [3, 30]
 
 
 class TestMergeRule:

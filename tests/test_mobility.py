@@ -871,7 +871,7 @@ class TestDeviceMotionState:
             ahead = d.routes_ahead()
             twin = d.clone()
             turns = [twin.turn_around() for _ in range(2)]
-            assert ahead == tuple((r.streets, r.start.p, r.end.p) for r in turns)
+            assert ahead == tuple((r.streets, r.crossings, r.start, r.end.p) for r in turns)
             d.turn_around()
 
 

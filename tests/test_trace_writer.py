@@ -15,7 +15,7 @@ import streetsim.cli as cli
 import streetsim.engine as engine
 from streetsim.cli import main
 from streetsim.config import build_seed_state, parse_config
-from streetsim.engine import event_streets, initialize
+from streetsim.engine import initialize
 from streetsim.streets import StreetPosition
 
 from conftest import make_device, make_graph, reaped
@@ -37,7 +37,6 @@ def assert_same_trace(g, devices, r, rho, T):
     line per scheduled event and two for the close-out."""
     state = initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T)
     written = schedule_trace(state)
-    assert len(event_streets(state)) == len(state.event_times)
     assert written.count("\n") == len(state.event_times) + 2
     assert written == hook_trace(initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T))
     return written
@@ -85,14 +84,18 @@ class TestSameBytesAsTheHookWriter:
         assert (tmp_path / "out" / "trace-seed1.jsonl").read_text() == hook_trace(state)
 
     def test_streets_counted_across_blocks(self, monkeypatch):
-        # event_streets numbers each device's events block by block
+        # a schedule added up in 7-event blocks names the same legs, so the
+        # trace shows the same streets
         cfg = parse_config(base_config(seeds=[1]))
         g, devices, _ = build_seed_state(cfg, 1)
-        state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s, T=max(cfg.T_s))
-        whole = event_streets(state)
-        assert len(whole) > 100
+        whole = initialize(g, [d.clone() for d in devices], r=cfg.r_m, rho=cfg.rho_s,
+                           T=max(cfg.T_s))
+        assert len(whole.event_legs) > 100
         monkeypatch.setattr(engine, "_BLOCK_CELLS", 7)
-        assert np.array_equal(event_streets(state), whole)
+        blocks = initialize(g, [d.clone() for d in devices], r=cfg.r_m, rho=cfg.rho_s,
+                            T=max(cfg.T_s))
+        assert np.array_equal(blocks.event_legs, whole.event_legs)
+        assert schedule_trace(blocks) == schedule_trace(whole)
 
 
 class TestWriterProcess:
@@ -127,7 +130,7 @@ class TestWriterProcess:
     def test_writer_failure_exits_2(self, tmp_path, monkeypatch, capfd, forks):
         runs = tmp_path / "run-pids"
 
-        def failing_streets(state):
+        def failing_write(fh, state):
             raise ValueError("synthetic writer failure")
 
         run = analysis.run
@@ -137,7 +140,7 @@ class TestWriterProcess:
                 fh.write(f"{os.getpid()}\n")
             return run(state)
 
-        monkeypatch.setattr(cli, "event_streets", failing_streets)
+        monkeypatch.setattr(cli, "_write_trace", failing_write)
         monkeypatch.setattr(analysis, "run", recording_run)
         assert self.run(tmp_path, seeds=(1,)) == 2
         assert len(forks) == 1 and reaped(forks[0])
