@@ -25,7 +25,6 @@ import csv
 import dataclasses
 import gc
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -41,7 +40,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, build_geometry, load_config, validate_config
 from .engine import EventKind
-from .forking import forked
+from . import forking
 from .mobility import RuntimeInvariantError
 from .streets import DegenerateTessellation, StreetGraph
 
@@ -98,7 +97,8 @@ def _emit_side_outputs(cfg: ExperimentConfig, out_dir: FsPath, seed: int, state)
     """
     if cfg.outputs.trace:
         trace_path = out_dir / f"trace-seed{seed}.jsonl"
-        with open(trace_path, "w") as fh, forked(partial(_write_trace_file, fh, state)) as writer:
+        with (open(trace_path, "w") as fh,
+              forking.forked(partial(_write_trace_file, fh, state)) as writer):
             fh.close()
             yield
         if writer is not None and writer.status != 0:
@@ -135,7 +135,7 @@ def _write_trace(fh, state) -> None:
             f'{{"t": {number(t)}, "kind": {_KIND_NUMBER[turns]}, "device": {device}, '
             f'"street": {street}}}\n'
             for t, turns, device, street in zip(
-                times[start:stop].tolist(), routes.destination[leg].tolist(),
+                times[start:stop].tolist(), (routes.crossing[leg] < 0).tolist(),
                 routes.device[leg].tolist(), routes.street[leg].tolist()))
     for kind in (EventKind.FINISH, EventKind.GLOBAL_UPDATE):
         fh.write(f'{{"t": {number(state.T)}, "kind": {int(kind)}, "device": null, "street": null}}\n')
@@ -178,7 +178,7 @@ def _cmd_run(args) -> int:
         print(f"config error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     side_outputs = partial(_emit_side_outputs, cfg, out_dir)
-    workers = min(args.jobs, len(cfg.seeds), os.cpu_count() or 1)
+    workers = min(args.jobs, len(cfg.seeds), forking.usable_cpus())
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

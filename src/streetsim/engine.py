@@ -12,23 +12,22 @@ contact has lasted longer than the connection time rho.
 
 Contacts never feed back into motion, so each device's event times follow
 from its own commute alone, and :func:`initialize` computes them all up to
-T: the current route, then the reversed route and its reversal, alternately,
-as ``Device.turn_around`` would make them current.  Each time is the
-previous one plus the leg's ``dt`` (metres over velocity), added in order
-from 0.0, as a queue that rescheduled each device when it fired added them.
-Those three routes a device are ``state.routes``, a :class:`RouteTable` with
-one row per leg: its device, its street, and where it ends (the crossing
-and the street entered there, or the destination and the position the
-device turns to).  The schedule is two arrays in firing order,
+T: its ``path`` from its position, then the reversed path and the reversal
+of that, alternately.  Each time is the previous one plus the leg's ``dt``
+(metres over velocity), added in order from 0.0, as a queue that
+rescheduled each device when it fired added them.  Those three routes a
+device are ``state.routes``, a :class:`RouteTable` with one row per leg: its
+device, its street, and the crossing where it ends, from which the device
+enters the next row's street, or -1 at the destination, where it turns to
+the start of the next route.  The schedule is two arrays in firing order,
 ``state.event_times`` (float64) and ``state.event_legs`` (int32, the row of
 the leg the event ends): 12 bytes an event and no Python object per event.
 They live in anonymous memory maps of their own; :func:`run` takes them out
 of the state, walks them in chunks and hands each walked chunk's pages
 back, so the schedule's memory shrinks as the contact history grows.  The
 loop reads each event's device, streets, crossing and new position from
-the route table, so it never reads or updates a device's ``path`` or
-``leg``: after a run they still hold the commute as it was at
-:func:`initialize`.
+the route table, so it never reads or updates a device's ``path``: after a
+run it still holds the commute as it was at :func:`initialize`.
 
 Contacts are only ever between devices on one street, so the events that
 touch one set of streets fire apart from the rest.  :func:`run` cuts the
@@ -70,12 +69,11 @@ most events, its count and its commute length (a commute a few ulps long
 would fire events without end).
 
 When ``state.trace`` is set, :func:`run` calls ``state.trace(ev, state)``
-with an :class:`Event` once per event, after the clock has moved to
-``ev.time`` and before the event is handled; ``ev.kind`` is an
-:class:`EventKind` (an int, usable as an index).  The close-out passes two
-more records at T, FINISH and then GLOBAL_UPDATE, whose ``ev.device`` is
-``None``.  The hook is read once, when ``run`` starts; without one no
-:class:`Event` is built.  The hook is for callers that watch the state as
+with an :class:`Event` once per event, at ``ev.time`` and before the event
+is handled; ``ev.kind`` is an :class:`EventKind` (an int, usable as an
+index).  The close-out passes two more records at T, FINISH and then
+GLOBAL_UPDATE, whose ``ev.device`` is ``None``.  The hook is read once, when
+``run`` starts; without one no :class:`Event` is built.  The hook is for callers that watch the state as
 events fire (tests, the benchmark's event counter).  A trace of the events
 needs no hook: the schedule and the route table already hold every event's
 time, kind, device and street, so ``streetsim run`` writes its trace files
@@ -111,7 +109,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forking import forked
+from . import forking
 from .mobility import Device, RuntimeInvariantError, advance_to
 from .streets import Street, StreetGraph, StreetPosition, component_labels
 
@@ -350,19 +348,17 @@ class RouteTable(NamedTuple):
 
     A scheduled event is the end of one leg, and the schedule names it by
     its row.  ``street`` is the street the leg runs on, where the event
-    fires.  A leg ends at ``crossing``, where the device enters
-    ``next_street``, or at the destination (``crossing`` is -1 and
-    ``next_street`` the leg's own street).  Route k's destination leg is row
-    ``last[k]``, where the device turns on the same street to the fraction
-    ``turn_p[k]`` between the crossings ``turn_v1[k]`` and ``turn_v2[k]``:
-    the start of the route it travels next.
+    fires.  A leg ends at ``crossing``, where the device enters the street
+    of the next row, or at the destination, where ``crossing`` is -1.
+    Route k's destination leg is row ``last[k]``, where the device turns on
+    the same street to the fraction ``turn_p[k]`` between the crossings
+    ``turn_v1[k]`` and ``turn_v2[k]``: the start of the route it travels
+    next.
     """
 
     device: np.ndarray  # int32
     street: np.ndarray  # int32
-    next_street: np.ndarray  # int32
     crossing: np.ndarray  # int32
-    destination: np.ndarray  # bool
     last: np.ndarray  # per route
     turn_v1: np.ndarray  # per route
     turn_v2: np.ndarray  # per route
@@ -371,8 +367,7 @@ class RouteTable(NamedTuple):
     @classmethod
     def empty(cls) -> "RouteTable":
         none = np.empty(0, dtype=np.intc)
-        return cls(none, none, none, none, np.empty(0, dtype=bool), none, none, none,
-                   np.empty(0))
+        return cls(none, none, none, none, none, none, np.empty(0))
 
 
 @dataclass
@@ -382,7 +377,6 @@ class SimulationState:
     r: float
     rho: float
     T: float
-    time: float = 0.0
     # the schedule, in firing order: each event's time, and the row of
     # ``routes`` whose leg it ends; emptied by run, with the routes
     event_times: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -425,12 +419,12 @@ def _schedule(devices: list[Device], graph: StreetGraph,
     """Times and legs of every event of the moving ``devices`` up to T, in
     firing order, and the route table the legs are rows of.
 
-    Each device travels the routes of :func:`_route_table`: its current
-    route, then the two routes ``Device.routes_ahead`` names, alternately,
-    leg by leg as :func:`_nth_leg` counts them.  A leg's time step is its
-    metres over the velocity: (1 - p) * length to leave a route's first
-    street, each interior street's length, end_p * length into its last
-    street, or (end_p - p) * length on a one-street route.  A device's
+    Each device travels the routes of :func:`_route_table`: its path from
+    its position, then the reversed path and the reversal of that,
+    alternately, leg by leg as :func:`_nth_leg` counts them.  A leg's time
+    step is its metres over the velocity: (1 - p) * length to leave a
+    route's first street, each interior street's length, end_p * length
+    into its last street, or (end_p - p) * length on a one-street route.  A device's
     times add the steps in order from 0.0, so each is the previous time
     plus one step, as a rescheduling heap computed it.  Raises before
     anything event-sized is allocated when the events would be more than
@@ -508,25 +502,32 @@ def _schedule(devices: list[Device], graph: StreetGraph,
         start = stop
 
     times = np.ndarray(n, np.float64, buffer=times.base)
-    return times, _firing_order(times, fired_legs[:n], routes.device, routes.destination), routes
+    return times, _firing_order(times, fired_legs[:n], routes.device, routes.crossing < 0), routes
 
 
 def _route_table(devices: list[Device]) -> tuple:
     """The legs of the routes the moving ``devices`` travel, three routes a
-    device: its current route from its current leg, then the two routes
-    ``Device.routes_ahead`` names, which it travels alternately from then on.
+    device: its ``path`` from its position ``pos``, then the reversed path
+    and the reversal of that, which it travels alternately from then on.
 
     Returns the :class:`RouteTable`, and per route its number of legs, the
     index of its first leg, its start p and its end p.  The position a
     destination leg turns to is the start of the route that follows: the
     second after the first, the third after the second, the second again
-    after the third.  Nothing per leg is a Python object.
+    after the third.  The second and third routes' fractions are flipped as
+    ``Path.reverse`` flips them, so each is bitwise that of ``path.reverse()``
+    and ``path.reverse().reverse()``; flipping a third time gives the second
+    again.  Nothing per leg is a Python object.
     """
     routes = []  # three per device: (streets, crossings, start, end_p)
     for d in devices:
         path = d.path
-        routes.append((path.streets[d.leg:], path.crossings[d.leg:], d.pos, path.end.p))
-        routes.extend(d.routes_ahead())
+        start, end = path.start, path.end
+        back = end.flipped()
+        routes += ((path.streets, path.crossings, d.pos, end.p),
+                   (path.streets[::-1], path.crossings[::-1], back, 1.0 - start.p),
+                   (path.streets, path.crossings, start._replace(p=1.0 - (1.0 - start.p)),
+                    1.0 - back.p))
     streets, crossings, starts, end_p = zip(*routes)
     n_legs = np.fromiter(map(len, streets), dtype=np.intp, count=len(routes))
     n = int(n_legs.sum())
@@ -535,22 +536,18 @@ def _route_table(devices: list[Device]) -> tuple:
     street = np.fromiter(chain.from_iterable(streets), dtype=np.intc, count=n)
     first = np.cumsum(n_legs) - n_legs
     last = first + (n_legs - 1)
-    destination = np.zeros(n, dtype=bool)
-    destination[last] = True
+    onward = np.ones(n, dtype=bool)
+    onward[last] = False
     crossing = np.full(n, -1, dtype=np.intc)
-    crossing[~destination] = np.fromiter(chain.from_iterable(crossings), dtype=np.intc,
-                                         count=n - len(routes))
-    next_street = street.copy()
-    onward = np.flatnonzero(~destination)
-    next_street[onward] = street[onward + 1]
+    crossing[onward] = np.fromiter(chain.from_iterable(crossings), dtype=np.intc,
+                                   count=n - len(routes))
     ids = np.array([d.id for d in devices], dtype=np.intc)
     start_v1, start_v2 = np.array([(s.v1, s.v2) for s in starts], dtype=np.intc).T
     start_p = np.array([s.p for s in starts], dtype=float)
     following = np.arange(1, len(routes) + 1)
     following[2::3] -= 2
-    table = RouteTable(np.repeat(np.repeat(ids, 3), n_legs), street, next_street, crossing,
-                       destination, last, start_v1[following], start_v2[following],
-                       start_p[following])
+    table = RouteTable(np.repeat(np.repeat(ids, 3), n_legs), street, crossing, last,
+                       start_v1[following], start_v2[following], start_p[following])
     return table, n_legs, first, start_p, np.array(end_p, dtype=float)
 
 
@@ -662,9 +659,7 @@ def initialize(
             raise ValueError(f"duplicate device id {d.id}")
         if not 0 <= d.id < 2**30:
             raise ValueError(f"device id {d.id} outside [0, 2**30)")
-        eid = d.pos.street
-        d.street_length = graph.edges[eid].length
-        occupancy[eid].add(d.id)
+        occupancy[d.pos.street].add(d.id)
         dev_map[d.id] = d
     state = SimulationState(graph=graph, devices=dev_map, r=r, rho=rho, T=T,
                             occupancy=occupancy)
@@ -769,8 +764,9 @@ def _fire(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: R
 
     ``action`` holds, per leg of ``routes``, what this part does with the
     event that ends the leg (``_LEAVE`` and so on).  Each event's device,
-    streets and crossing come from the route table.  The schedule is walked
-    in chunks, and each chunk's pages are handed back once it has fired.
+    streets and crossing come from the route table: a crossing leg's next
+    street is the street of the row after it.  The schedule is walked in
+    chunks, and each chunk's pages are handed back once it has fired.
     """
     devices = state.devices
     occupancy = state.occupancy
@@ -794,11 +790,12 @@ def _fire(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: R
         turns = map(position, repeat(StreetPosition), zip(
             routes.street[turning].tolist(), routes.turn_v1[route].tolist(),
             routes.turn_v2[route].tolist(), routes.turn_p[route].tolist()))
+        # the street after each leg; a destination's is never read
+        entered = routes.street.take(legs_here + 1, mode="clip")
         for t, act, did, left, eid, crossing in zip(
                 times[start:stop][mine].tolist(), acts.tolist(), routes.device[legs_here].tolist(),
-                routes.street[legs_here].tolist(), routes.next_street[legs_here].tolist(),
+                routes.street[legs_here].tolist(), entered.tolist(),
                 routes.crossing[legs_here].tolist()):
-            state.time = t
             if trace is not None:
                 trace(Event(t, _KINDS[act == _TURN], did), state)
             d = devices[did]
@@ -828,7 +825,6 @@ def _fire(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: R
             u = street.u
             d.pos = position(StreetPosition, (eid, crossing, street.v if crossing == u else u, 0.0))
             d.time_of_pos = t
-            d.street_length = length
             members = occupancy[eid]
             if members:
                 # bring each resident to t and solve the contact window in
@@ -844,7 +840,7 @@ def _fire(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: R
                     if t < t0 - 1e-9:
                         raise ValueError(f"cannot evaluate device {oid} before its stored time")
                     if o.moving:
-                        p_t = p + (t - t0) * o.velocity / o.street_length
+                        p_t = p + (t - t0) * o.velocity / length
                         if p_t > 1.0 + 1e-9:
                             raise RuntimeInvariantError(
                                 f"device {oid} overshot its street (p={p_t}); missed crossing event"
@@ -892,13 +888,15 @@ def _run_part(state: SimulationState, times: np.ndarray, legs: np.ndarray, route
     state.active = {pair: interval for pair, interval in state.active.items()
                     if devices[pair[0]].pos.street in own}
     _fire(state, times, legs, routes, action)
-    state.time = T = state.T
+    T = state.T
     if state.trace is not None:
         state.trace(Event(T, EventKind.FINISH), state)
         state.trace(Event(T, EventKind.GLOBAL_UPDATE), state)
     ids = sorted(chain.from_iterable(state.occupancy[eid] for eid in own))
+    edges = state.graph.edges
     for did in ids:
-        advance_to(devices[did], T)
+        d = devices[did]
+        advance_to(d, T, edges[d.pos.street].length)
     active = state.active
     for pair in sorted(active):
         _settle(state, pair, active[pair], T)
@@ -920,9 +918,10 @@ def _strips(graph: StreetGraph, legs: np.ndarray,
     """
     arr = graph.street_arrays()
     row = np.searchsorted(arr.ids, routes.street)
-    next_row = np.searchsorted(arr.ids, routes.next_street)
+    # the street each crossing leg enters is the next leg's
+    next_row = np.roll(row, -1)
     fired = np.bincount(legs, minlength=len(row))
-    onward = ~routes.destination
+    onward = routes.crossing >= 0
     work = (np.bincount(row, fired, minlength=len(arr.ids))
             + np.bincount(next_row[onward], fired[onward], minlength=len(arr.ids)))
     by_x = np.argsort(np.mod(arr.ux + 0.5 * arr.dx + graph.L, 2.0 * graph.L), kind="stable")
@@ -938,7 +937,7 @@ def _strips(graph: StreetGraph, legs: np.ndarray,
     parts = []
     for side in (west, ~west):
         leave, enter = side[row], side[next_row]
-        action = np.where(routes.destination, _TURN * leave, _LEAVE * leave + _ENTER * enter)
+        action = np.where(onward, _LEAVE * leave + _ENTER * enter, _TURN * leave)
         parts.append((arr.ids[side].tolist(), action.astype(np.int8)))
     return parts
 
@@ -965,8 +964,7 @@ def _split(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: 
             try:
                 devices = state.devices
                 ids = _run_part(state, times, legs, routes, east, east_action)
-                sent = (None, [(did, devices[did].pos, devices[did].time_of_pos,
-                                devices[did].street_length) for did in ids],
+                sent = (None, [(did, devices[did].pos, devices[did].time_of_pos) for did in ids],
                         len(history.data) - logged)
             except Exception as exc:
                 sent = (exc, [], 0)
@@ -979,7 +977,7 @@ def _split(state: SimulationState, times: np.ndarray, legs: np.ndarray, routes: 
         os.close(read_end)
         os.close(write_end)
 
-    with forked(second_part, close_pipe) as child:
+    with forking.forked(second_part, close_pipe) as child:
         if child is None:
             return False
         os.close(write_end)
@@ -1007,9 +1005,9 @@ def _receive(state: SimulationState, pipe, streets: list[int]) -> bool:
     devices, occupancy = state.devices, state.occupancy
     for eid in streets:
         occupancy[eid].clear()
-    for did, pos, time_of_pos, street_length in finals:
+    for did, pos, time_of_pos in finals:
         d = devices[did]
-        d.pos, d.time_of_pos, d.street_length = pos, time_of_pos, street_length
+        d.pos, d.time_of_pos = pos, time_of_pos
         occupancy[pos.street].add(did)
     data = state.history.data
     left = n_values * data.itemsize
@@ -1021,13 +1019,6 @@ def _receive(state: SimulationState, pipe, streets: list[int]) -> bool:
         data.frombytes(chunk)
         left -= n
     return True
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run(state: SimulationState) -> ConnectionGraph:
@@ -1044,10 +1035,10 @@ def run(state: SimulationState) -> ConnectionGraph:
     state.event_times, state.event_legs = np.empty(0), np.empty(0, dtype=np.intc)
     state.routes = RouteTable.empty()
     parts = None
-    if state.trace is None and len(legs) >= SPLIT_MIN_EVENTS and _usable_cpus() >= 2:
+    if state.trace is None and len(legs) >= SPLIT_MIN_EVENTS and forking.usable_cpus() >= 2:
         parts = _strips(state.graph, legs, routes)
     if parts is None or not _split(state, times, legs, routes, parts):
-        whole = np.where(routes.destination, _TURN, _CROSS).astype(np.int8)
+        whole = np.where(routes.crossing < 0, _TURN, _CROSS).astype(np.int8)
         _run_part(state, times, legs, routes, state.occupancy, whole)
     del times, legs, routes, parts
     return derived_connection_graph(state, state.T, state.rho)

@@ -3,7 +3,9 @@
 ``streetsim run`` forks two kinds of helper: the trace writer, which writes a
 seed's trace file from the schedule while the event loop runs, and the event
 loop's second part (see :mod:`streetsim.engine`).  Both go through
-:func:`forked`, so every child is made, left and reaped the same way.
+:func:`forked`, so every child is made, left and reaped the same way.  How
+many of them can run at once is :func:`usable_cpus`, which also caps
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import os
 import signal
 from collections.abc import Callable, Iterator
 
-__all__ = ["Child", "forked"]
+__all__ = ["Child", "forked", "usable_cpus"]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class Child:

@@ -87,24 +87,18 @@ class Device:
     """A device, its commute and its current street position.
 
     ``moving`` is a plain attribute, kept in step with ``path`` by the path
-    setter: a device is stationary when its path is, and turning around never
-    changes that.  The reversed route is built on the first turn and reused.
+    setter: a device is stationary when its path is.
     """
 
-    __slots__ = ("id", "pos", "time_of_pos", "velocity", "home", "destination", "leg",
-                 "street_length", "moving", "_path", "_reversed")
+    __slots__ = ("id", "pos", "time_of_pos", "velocity", "home", "moving", "_path")
 
-    def __init__(self, id, pos, time_of_pos, velocity, path, home, destination,
-                 leg=0, street_length=0.0):
+    def __init__(self, id, pos, time_of_pos, velocity, path, home):
         self.id = id
         self.pos = pos
         self.time_of_pos = time_of_pos
         self.velocity = velocity
         self.path = path
         self.home = home
-        self.destination = destination
-        self.leg = leg
-        self.street_length = street_length  # cached length of the current street
 
     @property
     def path(self) -> Path:
@@ -113,53 +107,10 @@ class Device:
     @path.setter
     def path(self, path: Path) -> None:
         self._path = path
-        self._reversed = None
         self.moving = path is not None and not path.is_stationary
 
-    def turn_around(self) -> Path:
-        """Make the reversed route the current path and return it.
-
-        Flipping a fraction twice can move it by an ulp (1 - (1 - p) != p),
-        but flipping it three times equals flipping it once.  So from the
-        first turn on the path alternates between its first and second
-        reversal, and both are built on that turn.
-        """
-        rev = self._reversed
-        if rev is None:
-            rev = self._path.reverse()
-            self._reversed = rev.reverse()
-        else:
-            self._reversed = self._path
-        self._path = rev
-        return rev
-
-    def routes_ahead(self) -> tuple[tuple, tuple]:
-        """The next two routes :meth:`turn_around` makes current, after which
-        the device alternates between them, as ``(streets, crossings, start,
-        end p)``.
-
-        No path is built: the start positions are flipped as
-        :meth:`Path.reverse` flips them, so each is bitwise the ``start`` of
-        the path that turn makes current.
-        """
-        path = self._path
-        rev = self._reversed
-        if rev is not None:
-            return ((rev.streets, rev.crossings, rev.start, rev.end.p),
-                    (path.streets, path.crossings, path.start, path.end.p))
-        start, end = path.start, path.end
-        back = (path.streets[::-1], path.crossings[::-1], end.flipped(), 1.0 - start.p)
-        return back, (path.streets, path.crossings,
-                      StreetPosition(start.street, start.v1, start.v2, 1.0 - back[3]),
-                      1.0 - back[2].p)
-
     def clone(self) -> "Device":
-        twin = Device(
-            self.id, self.pos, self.time_of_pos, self.velocity, self._path,
-            self.home, self.destination, self.leg, self.street_length,
-        )
-        twin._reversed = self._reversed
-        return twin
+        return Device(self.id, self.pos, self.time_of_pos, self.velocity, self._path, self.home)
 
 
 # -- velocity distributions ------------------------------------------------
@@ -264,8 +215,9 @@ def street_coords(positions: Sequence[StreetPosition], g: StreetGraph) -> np.nda
                                         arr.uy[rows] + t * arr.dy[rows])), g.L)
 
 
-def position_at(d: Device, t: float) -> float:
-    """Fraction of the current street the device has reached at time t.
+def position_at(d: Device, t: float, length: float) -> float:
+    """Fraction of the current street, ``length`` metres long, the device
+    has reached at time t.
 
     The caller guarantees (via event scheduling) that the device does not
     pass the end of its street before t.
@@ -274,7 +226,7 @@ def position_at(d: Device, t: float) -> float:
         raise ValueError(f"cannot evaluate device {d.id} before its stored time")
     if not d.moving:
         return d.pos.p
-    p_new = d.pos.p + (t - d.time_of_pos) * d.velocity / d.street_length
+    p_new = d.pos.p + (t - d.time_of_pos) * d.velocity / length
     if p_new > 1.0 + 1e-9:
         raise RuntimeInvariantError(
             f"device {d.id} overshot its street (p={p_new}); missed crossing event"
@@ -282,9 +234,10 @@ def position_at(d: Device, t: float) -> float:
     return min(p_new, 1.0)
 
 
-def advance_to(d: Device, t: float) -> None:
-    """Materialize the device position at time t and update its timestamp."""
-    p = position_at(d, t)
+def advance_to(d: Device, t: float, length: float) -> None:
+    """Materialize the device position at time t on its current street,
+    ``length`` metres long, and update its timestamp."""
+    p = position_at(d, t, length)
     pos = d.pos
     if p != pos.p:
         d.pos = StreetPosition(pos.street, pos.v1, pos.v2, p)
@@ -314,8 +267,7 @@ def sample_devices(g: StreetGraph, lam: float, rng: np.random.Generator) -> list
             pos = StreetPosition(eid, e.u, e.v, p)
             d = Device(
                 id=next_id, pos=pos, time_of_pos=0.0, velocity=1.0,
-                path=Path(pos, (), pos, (eid,)), home=pos, destination=pos,
-                street_length=e.length,
+                path=Path(pos, (), pos, (eid,)), home=pos,
             )
             devices.append(d)
             next_id += 1
@@ -979,7 +931,8 @@ def assign_commute(
     velocities: Sequence[float],
     g: StreetGraph,
 ) -> None:
-    """Give sampled devices their destinations, velocities and shortest paths.
+    """Give sampled devices their velocities and shortest paths to
+    ``destinations``; a device's destination is then its ``path.end``.
 
     The paths are ``shortest_path``'s, device by device, computed in one
     batch.  A device whose destination is on its home street takes the
@@ -1007,11 +960,7 @@ def assign_commute(
     failing 1-3 falls back to ``shortest_path``.
     """
     paths = _shortest_paths(g, [d.home for d in devices], destinations)
-    edges = g.edges
     for d, path, velocity in zip(devices, paths, velocities):
         d.path = path
         d.pos = path.start
-        d.leg = 0
         d.velocity = velocity
-        d.destination = path.end
-        d.street_length = edges[path.streets[0]].length

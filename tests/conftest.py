@@ -41,8 +41,7 @@ def make_device(did, g, frm, to, velocity):
     path = shortest_path(g, frm, to)
     return Device(
         id=did, pos=path.start, time_of_pos=0.0, velocity=velocity,
-        path=path, home=frm, destination=path.end,
-        street_length=g.edges[path.streets[0]].length,
+        path=path, home=frm,
     )
 
 

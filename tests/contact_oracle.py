@@ -62,7 +62,6 @@ def device_visits(d, graph, T: float) -> list[tuple]:
     that starts with a reversal on the same street.
     """
     edges = graph.edges
-    d = d.clone()
     if d.time_of_pos != 0.0:
         raise ValueError(f"device {d.id} is not at its initial state")
     pos = d.pos
@@ -72,7 +71,7 @@ def device_visits(d, graph, T: float) -> list[tuple]:
         x = p * street.length if v1 == street.u else (1.0 - p) * street.length
         return [(eid, 0.0, _INIT, T, _CLOSE, x, 0.0, False)]
     n = _RANK_BASE
-    path, leg, v = d.path, d.leg, d.velocity
+    path, leg, v = d.path, 0, d.velocity
     t, rank, turned, wave = 0.0, _INIT, False, 0
     visits = []
     while True:
@@ -97,7 +96,7 @@ def device_visits(d, graph, T: float) -> list[tuple]:
         rank_next = (wave * 8 + kind) * n + d.id
         visits.append((eid, t, rank, t_next, rank_next, x, m, turned))
         if kind == _DESTINATION:
-            path = d.turn_around()
+            path = path.reverse()
             leg = 0
             eid, v1, _, p = path.start
             turned = True

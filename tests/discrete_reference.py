@@ -41,29 +41,34 @@ class DiscreteConfig:
                 )
 
 
-def _advance(d: Device, g: StreetGraph, dt: float) -> None:
-    """Move a device by dt, sub-stepping exactly at crossings and reversals."""
+def _advance(d: Device, leg: int, g: StreetGraph, dt: float) -> int:
+    """Move a device on leg ``leg`` of its path by dt, sub-stepping exactly
+    at crossings and reversals, and return the leg it is on then.  At its
+    destination the device's path becomes the reversed path."""
     remaining = dt
+    path = d.path
     while remaining > 0.0 and d.moving:
-        length = d.street_length
-        target = d.path.end.p if d.leg == d.path.n_legs - 1 else 1.0
+        length = g.edges[d.pos.street].length
+        last = leg == path.n_legs - 1
+        target = path.end.p if last else 1.0
         t_need = (target - d.pos.p) * length / d.velocity
         if t_need > remaining:
             d.pos = d.pos._replace(p=d.pos.p + remaining * d.velocity / length)
             remaining = 0.0
             break
         remaining -= t_need
-        if d.leg == d.path.n_legs - 1:
-            d.leg = 0
-            d.pos = d.turn_around().start
+        if last:
+            leg = 0
+            d.path = path = path.reverse()
+            d.pos = path.start
         else:
-            crossing = d.path.crossings[d.leg]
-            d.leg += 1
-            eid = d.path.streets[d.leg]
+            crossing = path.crossings[leg]
+            leg += 1
+            eid = path.streets[leg]
             e = g.edges[eid]
             other = e.v if crossing == e.u else e.u
             d.pos = StreetPosition(eid, crossing, other, 0.0)
-            d.street_length = e.length
+    return leg
 
 
 def _offset_from_u(d: Device, g: StreetGraph) -> float:
@@ -96,6 +101,7 @@ def simulate_discrete(
     devices = [d.clone() for d in devices]
     occupancy: dict[int, set[int]] = {}
     by_id = {d.id: d for d in devices}
+    legs = dict.fromkeys(by_id, 0)  # each device starts on its path's first leg
     for d in devices:
         occupancy.setdefault(d.pos.street, set()).add(d.id)
 
@@ -123,7 +129,7 @@ def simulate_discrete(
             if not d.moving:
                 continue
             old_street = d.pos.street
-            _advance(d, g, cfg.eps)
+            legs[d.id] = _advance(d, legs[d.id], g, cfg.eps)
             if d.pos.street != old_street:
                 occupancy[old_street].discard(d.id)
                 occupancy.setdefault(d.pos.street, set()).add(d.id)

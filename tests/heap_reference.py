@@ -50,5 +50,5 @@ def scheduled(state) -> list[tuple]:
     """A state's schedule as ``(time, kind, device)``, in firing order."""
     routes, legs = state.routes, state.event_legs
     return [(t, KINDS[turns], device) for t, turns, device in zip(
-        state.event_times.tolist(), routes.destination[legs].tolist(),
+        state.event_times.tolist(), (routes.crossing[legs] < 0).tolist(),
         routes.device[legs].tolist())]

@@ -247,8 +247,8 @@ def test_criterion_4_contact_solver_vs_time_sampling():
                 vb, db = va, da
             pos_a = StreetPosition(0, 0, 1, pa) if da > 0 else StreetPosition(0, 1, 0, 1 - pa)
             pos_b = StreetPosition(0, 0, 1, pb) if db > 0 else StreetPosition(0, 1, 0, 1 - pb)
-            A = Device(0, pos_a, 0.0, va, None, None, None, street_length=street.length)
-            B = Device(1, pos_b, 0.0, vb, None, None, None, street_length=street.length)
+            A = Device(0, pos_a, 0.0, va, None, None)
+            B = Device(1, pos_b, 0.0, vb, None, None)
             A.path = Path(pos_a, (), StreetPosition(0, pos_a.v1, pos_a.v2, 1.0), (0,))
             B.path = Path(pos_b, (), StreetPosition(0, pos_b.v1, pos_b.v2, 1.0), (0,))
             interval = compute_contact_interval(A, B, street, 0.0, r)

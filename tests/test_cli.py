@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import streetsim.forking as forking
 from streetsim.cli import main
 from streetsim.config import ConfigError, load_config, parse_config, validate_config
 from streetsim.streets import StreetGraph
@@ -161,9 +162,7 @@ class TestRun:
 
     def test_jobs_parallel_matches_serial(self, tmp_path, monkeypatch):
         # pool workers write their own seeds' trace and history files
-        import streetsim.cli as cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         cfg = base_config(outputs={"csv_path": "out.csv", "trace": True, "history": True})
         path = write_config(tmp_path, cfg)
         out1 = tmp_path / "serial"
@@ -237,14 +236,21 @@ class TestRun:
         digest = hashlib.sha256((tmp_path / "kpp" / "out.csv").read_bytes()).hexdigest()
         assert digest == "b56cd035bb9c9dab3f638d2ab78c3f42675eebd24d34be0aa39831dcffd7f072"
 
-    @pytest.mark.parametrize("jobs, n_seeds, cpus, expected", [
-        (64, 5, 3, 3),     # clamped to the CPU count
-        (64, 2, 8, 2),     # clamped to the seed count
-        (2, 5, 8, 2),
-        (64, 1, 8, None),  # one seed: no pool
-        (4, 3, None, None),  # unknown CPU count counts as one
+    @pytest.mark.parametrize("jobs, n_seeds, cpus, affinity, expected", [
+        # no affinity mask: clamped to the CPU count
+        pytest.param(64, 5, 3, None, 3, id="64-5-3-3"),
+        # clamped to the affinity mask, below the CPU count
+        pytest.param(64, 5, 8, 3, 3, id="64-5-8-affinity3-3"),
+        # clamped to the seed count
+        pytest.param(64, 2, 8, 8, 2, id="64-2-8-2"),
+        pytest.param(2, 5, 8, 8, 2, id="2-5-8-2"),
+        # one seed: no pool
+        pytest.param(64, 1, 8, 8, None, id="64-1-8-None"),
+        # no affinity mask and an unknown CPU count: counts as one
+        pytest.param(4, 3, None, None, None, id="4-3-None-None"),
     ])
-    def test_jobs_worker_count(self, tmp_path, monkeypatch, jobs, n_seeds, cpus, expected):
+    def test_jobs_worker_count(self, tmp_path, monkeypatch, jobs, n_seeds, cpus, affinity,
+                               expected):
         import streetsim.cli as cli
 
         started = []
@@ -263,7 +269,12 @@ class TestRun:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(forking.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(forking.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(forking.os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
         cfg = base_config(lambda_per_km=0.0, seeds=list(range(1, n_seeds + 1)))
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "par"), "--jobs", str(jobs)]) == 0
@@ -430,9 +441,7 @@ class TestSideOutputs:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unwritable_trace_file_exits_2(self, tmp_path, monkeypatch, capsys, jobs):
-        import streetsim.cli as cli
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         out = tmp_path / "out"
         (out / "trace-seed1.jsonl").mkdir(parents=True)
         cfg = base_config(seeds=[1, 2], outputs=self.SIDE)

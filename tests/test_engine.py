@@ -82,9 +82,9 @@ class TestContactInterval:
             if k % 10 == 0:
                 vb, db = va, da  # zero relative speed degeneracies
             A = Device(0, StreetPosition(0, 0, 1, pa) if da > 0 else StreetPosition(0, 1, 0, 1 - pa),
-                       0.0, va, None, None, None, street_length=street.length)
+                       0.0, va, None, None)
             B = Device(1, StreetPosition(0, 0, 1, pb) if db > 0 else StreetPosition(0, 1, 0, 1 - pb),
-                       0.0, vb, None, None, None, street_length=street.length)
+                       0.0, vb, None, None)
             A.path = Path(A.pos, (), StreetPosition(0, A.pos.v1, A.pos.v2, 1.0), (0,))
             B.path = Path(B.pos, (), StreetPosition(0, B.pos.v1, B.pos.v2, 1.0), (0,))
             interval = compute_contact_interval(A, B, street, 0.0, r)
@@ -478,9 +478,9 @@ class TestRun:
         g = make_graph(500.0, {0: (0, 0), 1: (100, 0), 2: (200, 0), 3: (300, 0)},
                        [(0, 1), (1, 2), (2, 3)])
         home = StreetPosition(0, 0, 1, 1.0)
-        still = Device(0, home, 0.0, 1.0, None, home, home)
+        still = Device(0, home, 0.0, 1.0, None, home)
         walker = Device(1, StreetPosition(2, 3, 2, 0.5), 0.0, 1.0, None,
-                        StreetPosition(2, 3, 2, 0.5), None)
+                        StreetPosition(2, 3, 2, 0.5))
         assign_commute([still, walker], [StreetPosition(1, 1, 2, 0.0), StreetPosition(0, 1, 0, 0.5)],
                        [1.0, 1.0], g)
         assert not still.moving and still.pos == home
@@ -550,7 +550,7 @@ class TestRun:
 
         def check(ev, st):
             for did, d in st.devices.items():
-                key = (did, d.pos.street, d.pos.v1, d.pos.v2, d.leg, d.path.start)
+                key = (did, d.pos.street, d.pos.v1, d.pos.v2)
                 if key in last:
                     assert d.pos.p >= last[key] - 1e-12
                 last[key] = d.pos.p
@@ -742,7 +742,8 @@ class TestLazyUpdateSoundness:
             # lazily stored positions brought to ev.time, then the eager
             # reconstructions, all in one street_coords call
             moving = [st.devices[did] for did in sorted(st.devices) if st.devices[did].moving]
-            here = [StreetPosition(d.pos.street, d.pos.v1, d.pos.v2, position_at(d, ev.time))
+            here = [StreetPosition(d.pos.street, d.pos.v1, d.pos.v2,
+                                   position_at(d, ev.time, g.edges[d.pos.street].length))
                     for d in moving]
             there = [eager_position(*initial[d.id], g, ev.time) for d in moving]
             xy = street_coords(here + there, g).tolist()

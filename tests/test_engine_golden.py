@@ -90,6 +90,6 @@ def test_history_and_established_digests(kernel, velocity, seed, history_sha, es
 ], ids=["kappa_prime-5", "kappa_doubleprime-6"])
 def test_setup_destination_and_path_digests(kernel, velocity, seed, setup_sha):
     g, devices, _ = build_seed_state(small_config(kernel, velocity, seed), seed)
-    items = [(tuple(d.destination), d.path.start, d.path.crossings, d.path.end, d.path.streets)
+    items = [(tuple(d.path.end), d.path.start, d.path.crossings, d.path.end, d.path.streets)
              for d in devices]
     assert hashlib.sha256(repr(items).encode()).hexdigest() == setup_sha

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import dijkstra
 from hypothesis import assume, given, settings, strategies as st
 
 from streetsim.config import build_geometry, load_config, rng_streams
-from streetsim.engine import initialize
+from streetsim.engine import _route_table, initialize
 from streetsim.mobility import (
     Device,
     DiracVelocity,
@@ -605,7 +605,7 @@ class TestShortestPath:
 
 def batched_paths(g, pairs):
     """assign_commute's paths for devices commuting between the given positions."""
-    devices = [Device(k, frm, 0.0, 1.0, None, frm, frm) for k, (frm, _) in enumerate(pairs)]
+    devices = [Device(k, frm, 0.0, 1.0, None, frm) for k, (frm, _) in enumerate(pairs)]
     assign_commute(devices, [to for _, to in pairs], [1.0] * len(pairs), g)
     return [d.path for d in devices]
 
@@ -751,27 +751,26 @@ class TestPositionAt:
     def _device(self, g, p, v):
         e = g.edges[0]
         pos = StreetPosition(0, e.u, e.v, p)
-        dest = StreetPosition(0, e.u, e.v, 1.0)
-        path = Path(pos, (), dest, (0,))
-        return Device(0, pos, 0.0, v, path, pos, dest, street_length=e.length)
+        path = Path(pos, (), StreetPosition(0, e.u, e.v, 1.0), (0,))
+        return Device(0, pos, 0.0, v, path, pos), e.length
 
     def test_zero_dt(self, single_street_graph):
-        d = self._device(single_street_graph, 0.2, 1.5)
-        assert position_at(d, 0.0) == 0.2
+        d, length = self._device(single_street_graph, 0.2, 1.5)
+        assert position_at(d, 0.0, length) == 0.2
 
     def test_formula(self):
         g = make_graph(500.0, {0: (0, 0), 1: (300, 0)}, [(0, 1)])
-        d = self._device(g, 0.2, 1.5)
-        assert position_at(d, 10.0) == pytest.approx(0.25)
+        d, length = self._device(g, 0.2, 1.5)
+        assert position_at(d, 10.0, length) == pytest.approx(0.25)
 
     def test_full_traversal(self, single_street_graph):
-        d = self._device(single_street_graph, 0.0, 2.0)
-        assert position_at(d, 50.0) == pytest.approx(1.0)
+        d, length = self._device(single_street_graph, 0.0, 2.0)
+        assert position_at(d, 50.0, length) == pytest.approx(1.0)
 
     def test_overshoot_raises(self, single_street_graph):
-        d = self._device(single_street_graph, 0.5, 2.0)
+        d, length = self._device(single_street_graph, 0.5, 2.0)
         with pytest.raises(RuntimeInvariantError):
-            position_at(d, 100.0)
+            position_at(d, 100.0, length)
 
 
 class TestReversePath:
@@ -838,41 +837,46 @@ class TestDeviceMotionState:
             assert consistent(d)
             twin = d.clone()
             assert consistent(twin) and twin.moving == d.moving
-            d.turn_around()
+            d.path = d.path.reverse()
             assert consistent(d) and d.moving == twin.moving
         assert any(d.moving for d in devices) and not all(d.moving for d in devices)
 
     def test_path_assigned_after_construction(self):
         pos = StreetPosition(0, 0, 1, 0.25)
-        d = Device(0, pos, 0.0, 1.0, None, None, None)
+        d = Device(0, pos, 0.0, 1.0, None, None)
         assert not d.moving
         d.path = Path(pos, (), StreetPosition(0, 0, 1, 1.0), (0,))
         assert d.moving
         d.path = Path(pos, (), pos, (0,))
         assert not d.moving
 
-    @given(p=st.floats(0.0, 1.0, allow_nan=False), q=st.floats(0.0, 1.0, allow_nan=False))
-    def test_turn_around_equals_rebuilt_reverse(self, p, q):
-        # the cached reversals are bitwise the paths that reversing anew gives
-        path = Path(StreetPosition(0, 1, 2, p), (2, 5), StreetPosition(3, 5, 4, q), (0, 7, 3))
-        d = Device(0, path.start, 0.0, 1.0, path, path.start, path.end)
-        expected = path
-        for _ in range(5):
-            expected = expected.reverse()
-            assert d.turn_around() == expected
-            assert d.path == expected and d.clone().turn_around() == expected.reverse()
-
-    @given(p=st.floats(0.0, 1.0, allow_nan=False), q=st.floats(0.0, 1.0, allow_nan=False))
-    def test_routes_ahead_are_the_next_turns(self, p, q):
-        # before and after any number of turns, bitwise the next two routes
-        path = Path(StreetPosition(0, 1, 2, p), (2, 5), StreetPosition(3, 5, 4, q), (0, 7, 3))
-        d = Device(0, path.start, 0.0, 1.0, path, path.start, path.end)
-        for _ in range(4):
-            ahead = d.routes_ahead()
-            twin = d.clone()
-            turns = [twin.turn_around() for _ in range(2)]
-            assert ahead == tuple((r.streets, r.crossings, r.start, r.end.p) for r in turns)
-            d.turn_around()
+    @given(
+        p=st.floats(0.0, 1.0, allow_nan=False),
+        q=st.floats(0.0, 1.0, allow_nan=False),
+        s=st.floats(0.0, 1.0, allow_nan=False),
+        n=st.integers(1, 4),
+    )
+    def test_route_table_routes_are_rebuilt_reverses(self, p, q, s, n):
+        # the route table's three routes are, bitwise, the path from the
+        # device's position, path.reverse() and path.reverse().reverse()
+        # (streets, crossings, start p, end p); each destination turns to
+        # the start of the route after it: R1, R2, then R1 again
+        verts = list(range(10, 10 + n + 1))
+        path = Path(StreetPosition(0, verts[0], verts[1], p), tuple(verts[1:n]),
+                    StreetPosition(n - 1, verts[n - 1], verts[n], q), tuple(range(n)))
+        pos = path.start._replace(p=s)
+        table, n_legs, first, start_p, end_p = _route_table([Device(3, pos, 0.0, 1.0, path, pos)])
+        r1 = path.reverse()
+        r2 = r1.reverse()
+        assert n_legs.tolist() == [n] * 3 and table.device.tolist() == [3] * 3 * n
+        for k, (start, route) in enumerate([(pos, path), (r1.start, r1), (r2.start, r2)]):
+            legs = slice(first[k], first[k] + n)
+            assert table.street[legs].tolist() == list(route.streets)
+            assert table.crossing[legs].tolist() == [*route.crossings, -1]
+            assert start_p[k].hex() == start.p.hex() and end_p[k].hex() == route.end.p.hex()
+        for k, start in enumerate([r1.start, r2.start, r1.start]):
+            turn = (table.street[table.last[k]], table.turn_v1[k], table.turn_v2[k])
+            assert turn == start[:3] and table.turn_p[k].hex() == start.p.hex()
 
 
 class TestVelocities:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 import streetsim.engine as engine
+import streetsim.forking as forking
 from streetsim.cli import main
 from streetsim.config import build_seed_state, load_config
 from streetsim.engine import derived_connection_graph, initialize, run
@@ -49,7 +50,7 @@ def outcome(state) -> tuple:
 def run_both(g, devices, r, rho, T, monkeypatch) -> int:
     """Run the input in two parts and in one, assert the outcomes are equal,
     and return the crossings between the strips."""
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(engine, "SPLIT_MIN_EVENTS", 0)
     split = initialize(g, [d.clone() for d in devices], r=r, rho=rho, T=T)
     crossings = crossings_between_strips(split)
@@ -97,7 +98,7 @@ class TestSplitIsBitwise:
     def test_small_schedules_run_in_one_part(self, monkeypatch, forks):
         cfg = small_config(*GOLDEN_CASES[0][:2], 1)
         g, devices, _ = build_seed_state(cfg, 1)
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         state = initialize(g, devices, r=cfg.r_m, rho=cfg.rho_s, T=cfg.T_s[0])
         assert 0 < len(state.event_legs) < engine.SPLIT_MIN_EVENTS
         run(state)
@@ -105,7 +106,7 @@ class TestSplitIsBitwise:
 
     def test_one_cpu_runs_in_one_part(self, monkeypatch, forks):
         g, devices, r, rho, T = sweep_input(os.path.join(ROOT, "figures", "in_out_desk.json"), 1)
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         state = initialize(g, devices, r=r, rho=rho, T=T)
         assert len(state.event_legs) >= engine.SPLIT_MIN_EVENTS
         run(state)
@@ -117,7 +118,7 @@ class TestSecondPartProcess:
 
     @pytest.fixture(autouse=True)
     def split_every_run(self, monkeypatch):
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         monkeypatch.setattr(engine, "SPLIT_MIN_EVENTS", 0)
 
     def run(self, tmp_path, name="out", seeds=(1, 2), jobs=1):
@@ -187,7 +188,7 @@ class TestSecondPartProcess:
         # it writes a seed's history it checks that it has reaped them all
         import streetsim.cli as cli
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         log = tmp_path / "workers.log"
         write_history = cli._write_history
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 import streetsim.analysis as analysis
 import streetsim.cli as cli
 import streetsim.engine as engine
+import streetsim.forking as forking
 from streetsim.cli import main
 from streetsim.config import build_seed_state, parse_config
 from streetsim.engine import initialize
@@ -170,7 +171,7 @@ class TestWriterProcess:
     def test_jobs_2(self, tmp_path, monkeypatch, forks):
         # each pool worker forks its seeds' writers; before it writes a
         # seed's history it checks that it has reaped every child it forked
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
         log = tmp_path / "workers.log"
         write_history = cli._write_history
 
