@@ -850,22 +850,26 @@ class TestDeviceMotionState:
         d.path = Path(pos, (), pos, (0,))
         assert not d.moving
 
+    @staticmethod
+    def _routes(p, q, s, n):
+        """A device part way along an n-street path, with its route table."""
+        verts = list(range(10, 10 + n + 1))
+        path = Path(StreetPosition(0, verts[0], verts[1], p), tuple(verts[1:n]),
+                    StreetPosition(n - 1, verts[n - 1], verts[n], q), tuple(range(n)))
+        pos = path.start._replace(p=s)
+        return path, pos, _route_table([Device(3, pos, 0.0, 1.0, path, pos)])
+
     @given(
         p=st.floats(0.0, 1.0, allow_nan=False),
         q=st.floats(0.0, 1.0, allow_nan=False),
         s=st.floats(0.0, 1.0, allow_nan=False),
         n=st.integers(1, 4),
     )
-    def test_route_table_routes_are_rebuilt_reverses(self, p, q, s, n):
+    def test_turn_around_equals_rebuilt_reverse(self, p, q, s, n):
         # the route table's three routes are, bitwise, the path from the
         # device's position, path.reverse() and path.reverse().reverse()
-        # (streets, crossings, start p, end p); each destination turns to
-        # the start of the route after it: R1, R2, then R1 again
-        verts = list(range(10, 10 + n + 1))
-        path = Path(StreetPosition(0, verts[0], verts[1], p), tuple(verts[1:n]),
-                    StreetPosition(n - 1, verts[n - 1], verts[n], q), tuple(range(n)))
-        pos = path.start._replace(p=s)
-        table, n_legs, first, start_p, end_p = _route_table([Device(3, pos, 0.0, 1.0, path, pos)])
+        # (streets, crossings, start p, end p)
+        path, pos, (table, n_legs, first, start_p, end_p) = self._routes(p, q, s, n)
         r1 = path.reverse()
         r2 = r1.reverse()
         assert n_legs.tolist() == [n] * 3 and table.device.tolist() == [3] * 3 * n
@@ -874,6 +878,19 @@ class TestDeviceMotionState:
             assert table.street[legs].tolist() == list(route.streets)
             assert table.crossing[legs].tolist() == [*route.crossings, -1]
             assert start_p[k].hex() == start.p.hex() and end_p[k].hex() == route.end.p.hex()
+
+    @given(
+        p=st.floats(0.0, 1.0, allow_nan=False),
+        q=st.floats(0.0, 1.0, allow_nan=False),
+        s=st.floats(0.0, 1.0, allow_nan=False),
+        n=st.integers(1, 4),
+    )
+    def test_routes_ahead_are_the_next_turns(self, p, q, s, n):
+        # each route's destination turns, bitwise, to the start of the route
+        # after it: R1, R2, then R1 again
+        path, _, (table, *_) = self._routes(p, q, s, n)
+        r1 = path.reverse()
+        r2 = r1.reverse()
         for k, start in enumerate([r1.start, r2.start, r1.start]):
             turn = (table.street[table.last[k]], table.turn_v1[k], table.turn_v2[k])
             assert turn == start[:3] and table.turn_p[k].hex() == start.p.hex()
